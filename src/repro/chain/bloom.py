@@ -38,9 +38,12 @@ class Bloom:
             self._bits[pos >> 3] & (1 << (pos & 7)) for pos in self._positions(element)
         )
 
+    def _as_int(self) -> int:
+        return int.from_bytes(self._bits, "big")
+
     def merge(self, other: "Bloom") -> None:
-        for i in range(BLOOM_BYTES):
-            self._bits[i] |= other._bits[i]
+        merged = self._as_int() | other._as_int()  # one 2048-bit OR
+        self._bits[:] = merged.to_bytes(BLOOM_BYTES, "big")
 
     def bit(self, index: int) -> bool:
         """Whether bloom bit ``index`` (0..2047) is set."""
@@ -53,4 +56,4 @@ class Bloom:
         return isinstance(other, Bloom) and self._bits == other._bits
 
     def bit_count(self) -> int:
-        return sum(bin(b).count("1") for b in self._bits)
+        return self._as_int().bit_count()

@@ -29,6 +29,16 @@ _SHORT_LIST_OFFSET = 0xC0
 _LONG_LIST_OFFSET = 0xF7
 _MAX_SHORT_LENGTH = 55
 
+#: One-byte prefixes of short (0..55 byte) payloads, indexed by length.
+_SHORT_LENGTHS = range(_MAX_SHORT_LENGTH + 1)
+_STRING_PREFIX = [bytes([_SHORT_STRING_OFFSET + n]) for n in _SHORT_LENGTHS]
+_LIST_PREFIX = [bytes([_SHORT_LIST_OFFSET + n]) for n in _SHORT_LENGTHS]
+
+#: Deepest list nesting :func:`encode` and :func:`decode` accept (a flat
+#: list is depth 1).  Both recurse once per level; the bound keeps hostile
+#: input a typed error, well under the interpreter's recursion limit.
+MAX_NESTING_DEPTH = 128
+
 
 def encode_uint(value: int) -> bytes:
     """Encode a non-negative integer as a minimal big-endian byte string.
@@ -49,12 +59,10 @@ def decode_uint(payload: bytes) -> int:
     return int.from_bytes(payload, "big")
 
 
-def _encode_length(length: int, short_offset: int) -> bytes:
-    if length <= _MAX_SHORT_LENGTH:
-        return bytes([short_offset + length])
-    length_bytes = encode_uint(length)
-    long_offset = short_offset + _MAX_SHORT_LENGTH
-    return bytes([long_offset + len(length_bytes)]) + length_bytes
+def _long_prefix(length: int, long_offset: int) -> bytes:
+    """Prefix of a payload over 55 bytes: the length, after its own size."""
+    length_bytes = length.to_bytes((length.bit_length() + 7) // 8, "big")
+    return bytes((long_offset + len(length_bytes),)) + length_bytes
 
 
 def _as_payload(item: Any) -> bytes:
@@ -72,13 +80,46 @@ def _as_payload(item: Any) -> bytes:
 
 def encode(item: Any) -> bytes:
     """Encode an item (byte string, int, str, or nested sequence) to RLP."""
-    if isinstance(item, (list, tuple)):
-        payload = b"".join(encode(sub) for sub in item)
-        return _encode_length(len(payload), _SHORT_LIST_OFFSET) + payload
-    payload = _as_payload(item)
-    if len(payload) == 1 and payload[0] < _SHORT_STRING_OFFSET:
+    if type(item) is bytes:
+        payload = item
+    elif isinstance(item, (list, tuple)):
+        return _encode_list(item, 1)
+    else:
+        payload = _as_payload(item)
+    size = len(payload)
+    if size == 1 and payload[0] < _SHORT_STRING_OFFSET:
         return payload
-    return _encode_length(len(payload), _SHORT_STRING_OFFSET) + payload
+    if size <= _MAX_SHORT_LENGTH:
+        return _STRING_PREFIX[size] + payload
+    return _long_prefix(size, _LONG_STRING_OFFSET) + payload
+
+
+def _encode_list(items: Any, depth: int) -> bytes:
+    """Encode a list; its string items inline, one loop, no call per item."""
+    if depth > MAX_NESTING_DEPTH:
+        raise RLPEncodingError(f"list nesting deeper than {MAX_NESTING_DEPTH}")
+    parts: list[bytes] = []
+    append = parts.append
+    for item in items:
+        if type(item) is not bytes:
+            if isinstance(item, (list, tuple)):
+                append(_encode_list(item, depth + 1))
+                continue
+            item = _as_payload(item)
+        size = len(item)
+        if size == 1 and item[0] < _SHORT_STRING_OFFSET:
+            append(item)
+        elif size <= _MAX_SHORT_LENGTH:
+            append(_STRING_PREFIX[size])
+            append(item)
+        else:
+            append(_long_prefix(size, _LONG_STRING_OFFSET))
+            append(item)
+    payload = b"".join(parts)
+    size = len(payload)
+    if size <= _MAX_SHORT_LENGTH:
+        return _LIST_PREFIX[size] + payload
+    return _long_prefix(size, _LONG_LIST_OFFSET) + payload
 
 
 def length_of(item: Any) -> int:
@@ -110,7 +151,7 @@ def decode(blob: bytes) -> Any:
     """
     if not isinstance(blob, (bytes, bytearray)):
         raise RLPDecodingError(f"expected bytes, got {type(blob).__name__}")
-    item, consumed = _decode_at(bytes(blob), 0)
+    item, consumed = _decode_at(bytes(blob), 0, 1)
     if consumed != len(blob):
         raise RLPDecodingError(
             f"trailing bytes: consumed {consumed} of {len(blob)}"
@@ -131,7 +172,8 @@ def _read_length(blob: bytes, offset: int, length_of_length: int) -> tuple[int, 
     return length, end
 
 
-def _decode_at(blob: bytes, offset: int) -> tuple[Any, int]:
+def _decode_at(blob: bytes, offset: int, depth: int) -> tuple[Any, int]:
+    """Decode the item at ``offset``; ``depth`` is that of a list found there."""
     if offset >= len(blob):
         raise RLPDecodingError("unexpected end of input")
     prefix = blob[offset]
@@ -153,14 +195,30 @@ def _decode_at(blob: bytes, offset: int) -> tuple[Any, int]:
         start = offset + 1
     else:
         length, start = _read_length(blob, offset + 1, prefix - _LONG_LIST_OFFSET)
+    if depth > MAX_NESTING_DEPTH:
+        raise RLPDecodingError(f"list nesting deeper than {MAX_NESTING_DEPTH}")
     _take(blob, start, length)  # bounds check before iterating
     items = []
     cursor = start
     end = start + length
     while cursor < end:
-        item, cursor = _decode_at(blob, cursor)
+        # Single bytes and short strings are read in place; long strings
+        # and nested lists take the call.
+        prefix = blob[cursor]
+        if prefix < _SHORT_STRING_OFFSET:
+            items.append(blob[cursor : cursor + 1])
+            cursor += 1
+            continue
+        if prefix <= _LONG_STRING_OFFSET:
+            item_start = cursor + 1
+            cursor = item_start + prefix - _SHORT_STRING_OFFSET
+            item = blob[item_start:cursor]
+        else:
+            item, cursor = _decode_at(blob, cursor, depth + 1)
         if cursor > end:
             raise RLPDecodingError("list item overruns list payload")
+        if prefix == _SHORT_STRING_OFFSET + 1 and item[0] < _SHORT_STRING_OFFSET:
+            raise RLPDecodingError("single byte below 0x80 must be encoded as itself")
         items.append(item)
     return items, end
 

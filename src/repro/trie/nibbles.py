@@ -9,32 +9,42 @@ also what Geth's path-based storage model uses to build node keys.
 
 from __future__ import annotations
 
+from binascii import hexlify, unhexlify
+
 from repro.errors import InvalidNibblesError
 
 Nibbles = tuple[int, ...]
 
+_HEX_DIGITS = b"0123456789abcdef"
+#: A hex digit's byte -> its nibble value, and back (``bytes.translate``).
+_DIGIT_TO_NIBBLE = bytes.maketrans(_HEX_DIGITS, bytes(range(16)))
+_NIBBLE_TO_DIGIT = bytes.maketrans(bytes(range(16)), _HEX_DIGITS)
+#: Hex digits of the hex-prefix flag (and padding) nibbles, indexed by
+#: ``2 * is_leaf + odd_length``.
+_HP_FLAG_DIGITS = (b"00", b"1", b"20", b"3")
+
 
 def bytes_to_nibbles(data: bytes) -> Nibbles:
     """Expand bytes into their nibble sequence (big-endian within a byte)."""
-    nibbles = []
-    for byte in data:
-        nibbles.append(byte >> 4)
-        nibbles.append(byte & 0x0F)
-    return tuple(nibbles)
+    return tuple(hexlify(data).translate(_DIGIT_TO_NIBBLE))
 
 
 def nibbles_to_bytes(nibbles: Nibbles) -> bytes:
     """Pack an even-length nibble sequence back into bytes."""
     if len(nibbles) % 2 != 0:
         raise InvalidNibblesError(f"odd nibble count: {len(nibbles)}")
-    _validate(nibbles)
-    return bytes((nibbles[i] << 4) | nibbles[i + 1] for i in range(0, len(nibbles), 2))
+    return unhexlify(_hex_digits(nibbles))
 
 
-def _validate(nibbles: Nibbles) -> None:
-    for nibble in nibbles:
-        if not 0 <= nibble <= 0x0F:
-            raise InvalidNibblesError(f"nibble out of range: {nibble}")
+def _hex_digits(nibbles: Nibbles) -> bytes:
+    """One hex digit per nibble; rejects values outside ``0..15``."""
+    try:
+        raw = bytes(nibbles)
+    except ValueError as exc:  # a value outside 0..255
+        raise InvalidNibblesError(f"nibble out of range: {exc}") from None
+    if raw and max(raw) > 0x0F:
+        raise InvalidNibblesError(f"nibble out of range: {max(raw)}")
+    return raw.translate(_NIBBLE_TO_DIGIT)
 
 
 def compact_encode(nibbles: Nibbles, is_leaf: bool) -> bytes:
@@ -43,13 +53,9 @@ def compact_encode(nibbles: Nibbles, is_leaf: bool) -> bytes:
     The first nibble of the output encodes ``2*is_leaf + odd_length``;
     odd-length paths pack their first nibble into the flag byte.
     """
-    _validate(nibbles)
-    flag = 2 if is_leaf else 0
-    if len(nibbles) % 2 == 1:
-        prefixed = (flag + 1, *nibbles)
-    else:
-        prefixed = (flag, 0, *nibbles)
-    return nibbles_to_bytes(prefixed)
+    digits = _hex_digits(nibbles)
+    flag = (2 if is_leaf else 0) + len(digits) % 2
+    return unhexlify(_HP_FLAG_DIGITS[flag] + digits)
 
 
 def compact_decode(data: bytes) -> tuple[Nibbles, bool]:

@@ -71,10 +71,11 @@ def encode_node(node: Node) -> bytes:
     if isinstance(node, ExtensionNode):
         return rlp.encode([compact_encode(node.suffix, False), node.child_hash])
     if isinstance(node, BranchNode):
-        slots: list[bytes] = []
-        for i in range(16):
-            slots.append(node.child_hashes[i] if node.children[i] else EMPTY_HASH_SLOT)
-        slots.append(node.value if node.value is not None else b"")
+        slots = [
+            child_hash if present else EMPTY_HASH_SLOT
+            for child_hash, present in zip(node.child_hashes, node.children)
+        ]
+        slots.append(node.value or b"")
         return rlp.encode(slots)
     raise TrieError(f"unknown node type: {type(node).__name__}")
 
@@ -93,16 +94,9 @@ def decode_node(blob: bytes) -> Node:
             return LeafNode(suffix=suffix, value=payload)
         return ExtensionNode(suffix=suffix, child_hash=payload)
     if len(items) == 17:
-        children = []
-        child_hashes = []
-        for slot in items[:16]:
-            if not isinstance(slot, bytes):
-                raise TrieError("branch child slot must be a byte string")
-            children.append(len(slot) > 0)
-            child_hashes.append(slot)
-        value_slot = items[16]
-        if not isinstance(value_slot, bytes):
-            raise TrieError("branch value slot must be a byte string")
-        value = value_slot if value_slot else None
-        return BranchNode(children=children, value=value, child_hashes=child_hashes)
+        if list in map(type, items):
+            raise TrieError("branch slots must be byte strings")
+        value = items.pop() or None
+        # The 16 decoded slots are the child hashes; an empty slot is no child.
+        return BranchNode(children=list(map(bool, items)), value=value, child_hashes=items)
     raise TrieError(f"node list has {len(items)} items; expected 2 or 17")

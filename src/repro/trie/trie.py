@@ -139,6 +139,22 @@ class PathTrie:
     def _stage_delete(self, path: Nibbles) -> None:
         self._dirty[path] = _DELETED
 
+    def _stage_branch(self, path: Nibbles, branch: BranchNode) -> BranchNode:
+        """Return the dirty branch at ``path``, free to mutate in place.
+
+        ``branch`` itself when it already is the dirty entry (the root
+        branch is, from a block's second update on); otherwise a staged
+        copy, so an object resolved from the backend is never written to.
+        """
+        if self._dirty.get(path) is not branch:
+            branch = BranchNode(
+                children=list(branch.children),
+                value=branch.value,
+                child_hashes=list(branch.child_hashes),
+            )
+            self._dirty[path] = branch
+        return branch
+
     # ------------------------------------------------------------------
     # lookup
     # ------------------------------------------------------------------
@@ -153,29 +169,31 @@ class PathTrie:
         path: Nibbles = ()
         remaining = key
         depth = 0
-        while True:
-            depth += 1
-            self.last_lookup_depth = depth
-            node = self._resolve(path)
-            if node is None:
-                return None
-            if isinstance(node, LeafNode):
-                return node.value if node.suffix == remaining else None
-            if isinstance(node, ExtensionNode):
-                n = len(node.suffix)
-                if remaining[:n] != node.suffix:
+        try:
+            while True:
+                depth += 1
+                node = self._resolve(path)
+                if node is None:
                     return None
-                path = path + node.suffix
-                remaining = remaining[n:]
-                continue
-            # branch
-            if not remaining:
-                return node.value
-            nibble = remaining[0]
-            if not node.children[nibble]:
-                return None
-            path = path + (nibble,)
-            remaining = remaining[1:]
+                if isinstance(node, LeafNode):
+                    return node.value if node.suffix == remaining else None
+                if isinstance(node, ExtensionNode):
+                    n = len(node.suffix)
+                    if remaining[:n] != node.suffix:
+                        return None
+                    path = path + node.suffix
+                    remaining = remaining[n:]
+                    continue
+                # branch
+                if not remaining:
+                    return node.value
+                nibble = remaining[0]
+                if not node.children[nibble]:
+                    return None
+                path = path + (nibble,)
+                remaining = remaining[1:]
+        finally:
+            self.last_lookup_depth = depth
 
     def __contains__(self, key: Nibbles) -> bool:
         return self.get(key) is not None
@@ -210,41 +228,14 @@ class PathTrie:
                 return
             self._split(path, node, remaining, value)
             return
-        # branch
-        branch = node
+        # branch: restaged even when only a child changes, so commit
+        # re-encodes it with the child's new hash
+        branch = self._stage_branch(path, node)
         if not remaining:
-            self._stage(
-                path,
-                BranchNode(
-                    children=list(branch.children),
-                    value=value,
-                    child_hashes=list(branch.child_hashes),
-                ),
-            )
+            branch.value = value
             return
         nibble = remaining[0]
-        had_child = branch.children[nibble]
-        if not had_child:
-            new_children = list(branch.children)
-            new_children[nibble] = True
-            self._stage(
-                path,
-                BranchNode(
-                    children=new_children,
-                    value=branch.value,
-                    child_hashes=list(branch.child_hashes),
-                ),
-            )
-        else:
-            # child hash will change; restage so commit re-encodes us
-            self._stage(
-                path,
-                BranchNode(
-                    children=list(branch.children),
-                    value=branch.value,
-                    child_hashes=list(branch.child_hashes),
-                ),
-            )
+        branch.children[nibble] = True
         self._insert(path + (nibble,), remaining[1:], value)
 
     def _split(
@@ -341,12 +332,8 @@ class PathTrie:
         if not remaining:
             if branch.value is None:
                 return None
-            branch = BranchNode(
-                children=list(branch.children),
-                value=None,
-                child_hashes=list(branch.child_hashes),
-            )
-            self._stage(path, branch)
+            branch = self._stage_branch(path, branch)
+            branch.value = None
         else:
             nibble = remaining[0]
             if not branch.children[nibble]:
@@ -355,15 +342,10 @@ class PathTrie:
             result = self._delete(child_path, remaining[1:])
             if result is None:
                 return None
-            branch = BranchNode(
-                children=list(branch.children),
-                value=branch.value,
-                child_hashes=list(branch.child_hashes),
-            )
+            branch = self._stage_branch(path, branch)
             if self._resolve(child_path) is None:
                 branch.children[nibble] = False
                 branch.child_hashes[nibble] = b""
-            self._stage(path, branch)
         self._collapse_branch(path, branch)
         return True
 

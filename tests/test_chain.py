@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 from hypothesis import given, strategies as st
 
 from repro.chain import (
@@ -92,6 +94,25 @@ class TestBloom:
         bloom = Bloom()
         bloom.add(b"only")
         assert 1 <= bloom.bit_count() <= 3
+
+    def test_merge_and_bit_count_match_the_byte_loop(self):
+        # merge/bit_count work on the bloom as one 2048-bit integer; the
+        # byte-at-a-time loops they replaced are the reference.
+        rng = random.Random(15)
+        for case in range(200):
+            blooms = [Bloom(), Bloom()]
+            for bloom in blooms:
+                for _ in range(rng.choice((0, 1, 5, 60, 600))):
+                    bloom.add(rng.randbytes(rng.randint(1, 32)))
+            if case % 50 == 0:
+                blooms[1] = Bloom(bytes([0xFF]) * 256)
+            a, b = (bloom.to_bytes() for bloom in blooms)
+            blooms[0].merge(blooms[1])
+            merged = blooms[0].to_bytes()
+            assert merged == bytes(x | y for x, y in zip(a, b))
+            assert blooms[1].to_bytes() == b  # the argument is left alone
+            assert blooms[0].bit_count() == sum(bin(x).count("1") for x in merged)
+            assert blooms[0] == Bloom(merged)
 
     @given(st.lists(st.binary(min_size=1, max_size=32), max_size=20))
     def test_no_false_negatives(self, elements):

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from repro import rlp
 from repro.errors import RLPDecodingError, RLPEncodingError
+from repro.rlp.codec import MAX_NESTING_DEPTH
 
 
 class TestEncodeVectors:
@@ -98,6 +99,51 @@ class TestDecodeErrors:
     def test_non_bytes_input(self):
         with pytest.raises(RLPDecodingError):
             rlp.decode("dog")  # type: ignore[arg-type]
+
+
+def nested_lists(depth):
+    """The empty list wrapped in ``depth - 1`` more lists: item and RLP blob."""
+    item, blob = [], b"\xc0"
+    for _ in range(depth - 1):
+        size = len(blob)
+        if size <= 55:
+            header = bytes([0xC0 + size])
+        else:
+            size_bytes = size.to_bytes((size.bit_length() + 7) // 8, "big")
+            header = bytes([0xF7 + len(size_bytes)]) + size_bytes
+        item, blob = [item], header + blob
+    return item, blob
+
+
+class TestNestingDepth:
+    """Hostile nesting is a typed error, never a raw RecursionError."""
+
+    def test_deepest_accepted_nesting_roundtrips(self):
+        item, blob = nested_lists(MAX_NESTING_DEPTH)
+        assert rlp.encode(item) == blob
+        assert rlp.decode(blob) == item
+
+    def test_decode_rejects_3000_nested_lists(self):
+        _, blob = nested_lists(3000)
+        assert len(blob) < 10_000
+        with pytest.raises(RLPDecodingError, match="nesting"):
+            rlp.decode(blob)
+
+    def test_encode_rejects_2000_deep_list(self):
+        item, _ = nested_lists(2000)
+        with pytest.raises(RLPEncodingError, match="nesting"):
+            rlp.encode(item)
+
+    def test_one_past_the_bound_is_rejected_both_ways(self):
+        item, blob = nested_lists(MAX_NESTING_DEPTH + 1)
+        with pytest.raises(RLPEncodingError):
+            rlp.encode(item)
+        with pytest.raises(RLPDecodingError):
+            rlp.decode(blob)
+
+    def test_depth_counts_nesting_not_items(self):
+        wide = [[b"x"] * 3] * 1000
+        assert rlp.decode(rlp.encode(wide)) == wide
 
 
 class TestUintHelpers:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import random
 
@@ -18,6 +19,7 @@ from repro.trie import (
     decode_node,
     encode_node,
 )
+import repro.trie.trie as trie_module
 from repro.trie.trie import EMPTY_ROOT
 
 
@@ -286,3 +288,132 @@ class TestFuzzAgainstDict:
             trie2.update(key, value)
         assert trie2.commit() == trie.root_hash()
         assert backend2.data == backend.data
+
+
+def short_key(rng: random.Random):
+    """A 1-5 nibble key over three nibbles: dense in splits, extensions,
+    branch values and collapses, unlike 64-nibble hashed keys."""
+    return tuple(rng.randrange(3) for _ in range(rng.randint(1, 5)))
+
+
+def fresh_build(model):
+    trie, backend = make_trie()
+    for key, value in model.items():
+        trie.update(key, value)
+    return trie.commit(), backend
+
+
+class TestInPlaceBranchRestaging:
+    """A branch that already is the dirty entry for its path is updated
+    in place; the result must not depend on how the updates were grouped
+    into commits, and backend-resolved nodes must stay untouched."""
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_seeded_interleavings_match_fresh_build(self, seed, sparse):
+        rng = random.Random(seed)
+        make_key = short_key if seed % 2 else (lambda r: key_of(r.randrange(80)))
+        backend = MemBackend()
+        trie = PathTrie(backend, sparse=sparse)
+        model = {}
+        for step in range(400):
+            action = rng.random()
+            key = make_key(rng)
+            if action < 0.55:
+                value = rng.randbytes(rng.randint(1, 40))
+                trie.update(key, value)
+                model[key] = value
+            elif action < 0.85:
+                assert trie.delete(key) == (key in model), (seed, step)
+                model.pop(key, None)
+            elif action < 0.95:
+                trie.commit()
+            assert trie.get(key) == model.get(key), (seed, step)
+        root = trie.commit()
+        assert dict(trie.items()) == model
+        expected_root, expected_backend = fresh_build(model)
+        assert root == expected_root
+        assert backend.data == expected_backend.data  # node for node
+
+    def test_split_directly_below_a_branch_mutated_in_place(self):
+        trie, backend = make_trie()
+        model = {(1, 2, 3, 4): b"a", (2, 2, 2, 2): b"b"}
+        for key, value in model.items():
+            trie.update(key, value)
+        trie.commit()
+        # One block: the first update copies the clean root branch, the
+        # others find it dirty and write to it in place — adding a child,
+        # splitting the clean leaf below it, splitting a dirty leaf below
+        # it, giving it no new child at all, and removing one again.
+        block = [
+            ((3, 3, 3, 3), b"c"),
+            ((1, 2, 9, 9), b"d"),
+            ((3, 3, 7, 7), b"e"),
+            ((2, 2, 2, 2), b"f"),
+            ((0, 0), b"g"),
+        ]
+        for key, value in block:
+            trie.update(key, value)
+            model[key] = value
+            assert all(trie.get(k) == v for k, v in model.items())
+        assert trie.delete((0, 0))
+        del model[(0, 0)]
+        root = trie.commit()
+        expected_root, expected_backend = fresh_build(model)
+        assert root == expected_root
+        assert backend.data == expected_backend.data
+
+    def test_sparse_trie_with_absent_subtrees_commits_the_full_root(self):
+        full, full_backend = make_trie()
+        model = {key_of(i): b"v%d" % i for i in range(300)}
+        for key, value in model.items():
+            full.update(key, value)
+        full.commit()
+        touched = [key_of(i) for i in (3, 50, 299)] + [key_of(1000), key_of(1001)]
+        # A beam-synced node store: only the nodes on the touched keys'
+        # paths and their siblings are local.
+        on_path = {key[:n] for key in touched for n in range(len(key) + 1)}
+        sparse_backend = MemBackend()
+        sparse_backend.data = {
+            path: blob
+            for path, blob in full_backend.data.items()
+            if path[:-1] in on_path
+        }
+        assert len(sparse_backend.data) < len(full_backend.data) // 2
+        sparse = PathTrie(sparse_backend, sparse=True)
+        for trie in (full, sparse):
+            trie.update(touched[0], b"rewritten")
+            trie.update(touched[3], b"new")
+            assert trie.delete(touched[1])
+            trie.update(touched[4], b"new too")
+            assert trie.delete(touched[2])
+        assert sparse.commit() == full.commit()
+        for path, blob in sparse_backend.data.items():
+            assert full_backend.data[path] == blob
+
+    def test_backend_resolved_nodes_are_never_mutated(self, monkeypatch):
+        resolved = []
+
+        def recording_decode(blob):
+            node = decode_node(blob)
+            resolved.append((node, copy.deepcopy(node)))
+            return node
+
+        monkeypatch.setattr(trie_module, "decode_node", recording_decode)
+        rng = random.Random(11)
+        trie, _ = make_trie()
+        keys = [short_key(rng) for _ in range(40)] + [key_of(i) for i in range(40)]
+        for key in keys:
+            trie.update(key, b"first")
+        trie.commit()
+        for round_ in range(6):
+            for key in rng.sample(keys, 25):
+                trie.get(key)  # resolve clean nodes, then write through them
+                if rng.random() < 0.6:
+                    trie.update(key, b"round%d" % round_)
+                else:
+                    trie.delete(key)
+                for node, snapshot in resolved:
+                    assert node == snapshot
+            trie.commit()
+        assert len(resolved) > 100
