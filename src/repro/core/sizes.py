@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -26,6 +27,9 @@ from repro.core.classes import (
 
 #: z-score for a 95% confidence interval under the normal approximation.
 _Z95 = 1.959963984540054
+
+#: Pairs per batch of a store snapshot: bounds the temporary arrays.
+_SNAPSHOT_SLICE = 65536
 
 
 @dataclass
@@ -169,9 +173,10 @@ class SizeAnalyzer:
         stats.add_pair(len(key), value_size)
 
     def add_store_snapshot(self, pairs: Iterable[tuple[bytes, bytes]]) -> None:
-        """Consume ``(key, value)`` pairs from a store scan."""
-        for key, value in pairs:
-            self.add_pair(key, len(value))
+        """Consume ``(key, value)`` pairs from a store scan, a slice at a time."""
+        pairs = iter(pairs)
+        while batch := list(islice(pairs, _SNAPSHOT_SLICE)):
+            self.add_pairs_batch([k for k, _ in batch], [len(v) for _, v in batch])
 
     def add_pairs_batch(
         self, keys: Sequence[bytes], value_sizes: Sequence[int]

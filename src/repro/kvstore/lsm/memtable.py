@@ -8,6 +8,7 @@ overhead) drives flush scheduling in the store.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterator, Optional, Union
 
 #: Sentinel marking a deleted key inside LSM structures.  A dedicated
@@ -63,6 +64,10 @@ class MemTable:
     def is_empty(self) -> bool:
         return not self._data
 
+    @property
+    def num_tombstones(self) -> int:
+        return sum(1 for entry in self._data.values() if entry is TOMBSTONE)
+
     def sorted_entries(self) -> list[tuple[bytes, Entry]]:
         """All entries in key order (tombstones included)."""
         return sorted(self._data.items())
@@ -70,10 +75,9 @@ class MemTable:
     def iter_range(
         self, start: bytes, end: Optional[bytes]
     ) -> Iterator[tuple[bytes, Entry]]:
-        """Entries with ``start <= key < end`` in key order."""
-        for key, entry in self.sorted_entries():
-            if key < start:
-                continue
-            if end is not None and key >= end:
-                return
-            yield key, entry
+        """Entries with ``start <= key < end`` in key order, as of this call."""
+        entries = self.sorted_entries()
+        # (key,) sorts just before (key, entry): no entry is ever compared.
+        low = bisect_left(entries, (start,))
+        high = len(entries) if end is None else bisect_left(entries, (end,))
+        return iter(entries[low:high])

@@ -10,8 +10,10 @@ costs the analyses care about.
 from __future__ import annotations
 
 import bisect
+import heapq
 import itertools
-from typing import Iterator, Optional
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Optional
 
 from repro.kvstore.lsm.memtable import TOMBSTONE, Entry
 
@@ -19,40 +21,51 @@ _table_ids = itertools.count(1)
 
 
 class BloomFilter:
-    """Small double-hashed Bloom filter over byte keys."""
+    """Small double-hashed Bloom filter over byte keys: probe ``i`` of a
+    key is bit ``(h1 + i * h2) % size``, stepped incrementally below."""
 
     def __init__(self, expected: int, bits_per_key: int = 10) -> None:
         self._size = max(64, expected * bits_per_key)
         self._num_hashes = max(1, int(bits_per_key * 0.69))
         self._bits = bytearray((self._size + 7) // 8)
 
-    def _positions(self, key: bytes) -> Iterator[int]:
-        h1 = hash(key)
-        h2 = hash(key[::-1] + b"\x00")
-        for i in range(self._num_hashes):
-            yield (h1 + i * h2) % self._size
-
-    def add(self, key: bytes) -> None:
-        for pos in self._positions(key):
-            self._bits[pos >> 3] |= 1 << (pos & 7)
+    def add_all(self, keys: Iterable[bytes]) -> None:
+        bits, size, probes = self._bits, self._size, range(self._num_hashes)
+        for key in keys:
+            pos = hash(key) % size
+            step = hash(key[::-1] + b"\x00") % size
+            for _ in probes:
+                bits[pos >> 3] |= 1 << (pos & 7)
+                pos += step
+                if pos >= size:
+                    pos -= size
 
     def may_contain(self, key: bytes) -> bool:
-        return all(self._bits[pos >> 3] & (1 << (pos & 7)) for pos in self._positions(key))
+        bits, size = self._bits, self._size
+        pos = hash(key) % size
+        step = hash(key[::-1] + b"\x00") % size
+        for _ in range(self._num_hashes):
+            if not bits[pos >> 3] & (1 << (pos & 7)):
+                return False
+            pos += step
+            if pos >= size:
+                pos -= size
+        return True
 
 
 class SSTable:
     """Immutable sorted run with Bloom filter and size accounting."""
 
-    def __init__(self, entries: list[tuple[bytes, Entry]]) -> None:
-        """``entries`` must be sorted by key with no duplicates."""
+    def __init__(self, entries: Iterable[tuple[bytes, Entry]]) -> None:
+        """``entries``: any iterable sorted by key with no duplicates, read once."""
         self.table_id = next(_table_ids)
-        self._keys = [key for key, _ in entries]
-        self._entries = [entry for _, entry in entries]
-        self._bloom = BloomFilter(len(entries) or 1)
+        self._keys = keys = []
+        self._entries = values = []
         data_bytes = 0
         tombstones = 0
         for key, entry in entries:
-            self._bloom.add(key)
+            keys.append(key)
+            values.append(entry)
             data_bytes += len(key)
             if entry is TOMBSTONE:
                 tombstones += 1
@@ -60,6 +73,8 @@ class SSTable:
                 data_bytes += len(entry)  # type: ignore[arg-type]
         self.data_bytes = data_bytes
         self.num_tombstones = tombstones
+        self._bloom = BloomFilter(len(keys) or 1)
+        self._bloom.add_all(keys)
 
     def __len__(self) -> int:
         return len(self._keys)
@@ -108,42 +123,58 @@ class SSTable:
             return False
         return not (self._keys[-1] < smallest or self._keys[0] > largest)
 
+    def spans(self, start: bytes, end: Optional[bytes]) -> bool:
+        """Whether this table's key range intersects the scan range [start, end)."""
+        keys = self._keys
+        return bool(keys) and keys[-1] >= start and (end is None or keys[0] < end)
+
+
+@dataclass
+class MergeDrops:
+    """What a merge left out; filled in once the merge is exhausted."""
+
+    tombstones: int = 0
+    stale: int = 0
+
 
 def merge_runs(
-    runs: list[Iterator[tuple[bytes, Entry]]],
+    runs: Iterable[Iterable[tuple[bytes, Entry]]],
     drop_tombstones: bool,
-) -> tuple[list[tuple[bytes, Entry]], int, int]:
-    """K-way merge of sorted runs, newest run first.
+    drops: Optional[MergeDrops] = None,
+) -> Iterator[tuple[bytes, Entry]]:
+    """Lazy k-way merge of sorted runs, newest run first.
 
-    For duplicate keys the entry from the earliest run in ``runs`` wins
-    (callers order runs newest-first).  Returns ``(entries,
-    tombstones_dropped, stale_dropped)``; tombstones are removed from
-    the output only when ``drop_tombstones`` (bottom-level compaction).
+    Yields ``(key, entry)`` in key order, reading the runs only as far
+    as the consumer reads the merge.  For duplicate keys the entry from
+    the earliest run in ``runs`` wins (callers order runs newest-first);
+    tombstones are left out only when ``drop_tombstones`` (bottom-level
+    compaction, user scans).
     """
-    import heapq
-
-    heap: list[tuple[bytes, int, Entry]] = []
     iters = [iter(run) for run in runs]
+    heap: list[tuple[bytes, int, Entry]] = []
     for run_index, it in enumerate(iters):
         first = next(it, None)
         if first is not None:
-            heapq.heappush(heap, (first[0], run_index, first[1]))
+            heap.append((first[0], run_index, first[1]))
+    heapq.heapify(heap)
+    heappop, heapreplace = heapq.heappop, heapq.heapreplace
 
-    merged: list[tuple[bytes, Entry]] = []
-    tombstones_dropped = 0
-    stale_dropped = 0
+    tombstones_dropped = stale_dropped = 0
     current_key: Optional[bytes] = None
     while heap:
-        key, run_index, entry = heapq.heappop(heap)
+        key, run_index, entry = heap[0]
         nxt = next(iters[run_index], None)
-        if nxt is not None:
-            heapq.heappush(heap, (nxt[0], run_index, nxt[1]))
+        if nxt is None:
+            heappop(heap)
+        else:
+            heapreplace(heap, (nxt[0], run_index, nxt[1]))
         if key == current_key:
             stale_dropped += 1
             continue
         current_key = key
         if entry is TOMBSTONE and drop_tombstones:
             tombstones_dropped += 1
-            continue
-        merged.append((key, entry))
-    return merged, tombstones_dropped, stale_dropped
+        else:
+            yield key, entry
+    if drops is not None:
+        drops.tombstones, drops.stale = tombstones_dropped, stale_dropped

@@ -23,7 +23,7 @@ from typing import Iterator, Optional
 from repro.errors import KeyNotFoundError
 from repro.kvstore.api import KVStore
 from repro.kvstore.lsm.memtable import ENTRY_OVERHEAD, TOMBSTONE, Entry, MemTable
-from repro.kvstore.lsm.sstable import SSTable, merge_runs
+from repro.kvstore.lsm.sstable import MergeDrops, SSTable, merge_runs
 from repro.kvstore.metrics import LevelStats, StoreMetrics, bind_store_metrics
 
 
@@ -62,8 +62,8 @@ class _BlockCache:
         while len(self._entries) > self._capacity:
             self._entries.popitem(last=False)
 
-    def drop_table(self, table_id: int) -> None:
-        stale = [ck for ck in self._entries if ck[0] == table_id]
+    def drop_tables(self, table_ids: set[int]) -> None:
+        stale = [ck for ck in self._entries if ck[0] in table_ids]
         for ck in stale:
             del self._entries[ck]
 
@@ -80,8 +80,7 @@ class LSMStore(KVStore):
         # hold non-overlapping tables sorted by smallest key.
         self._levels: list[list[SSTable]] = [[] for _ in range(self.config.max_levels)]
         self._cache = _BlockCache(self.config.block_cache_entries)
-        self._live_keys = 0
-        self._key_live: dict[bytes, bool] = {}
+        self._live: set[bytes] = set()
 
     # -- write path ---------------------------------------------------------
 
@@ -89,9 +88,7 @@ class LSMStore(KVStore):
         self.metrics.user_puts += 1
         self.metrics.user_bytes_written += len(key) + len(value)
         self.metrics.wal_bytes_written += len(key) + len(value) + ENTRY_OVERHEAD
-        if not self._key_live.get(key, False):
-            self._live_keys += 1
-            self._key_live[key] = True
+        self._live.add(key)
         self._memtable.put(key, value)
         self._maybe_flush()
 
@@ -99,9 +96,7 @@ class LSMStore(KVStore):
         self.metrics.user_deletes += 1
         self.metrics.wal_bytes_written += len(key) + ENTRY_OVERHEAD
         self.metrics.tombstones_written += 1
-        if self._key_live.get(key, False):
-            self._live_keys -= 1
-            self._key_live[key] = False
+        self._live.discard(key)
         self._memtable.delete(key)
         self._maybe_flush()
 
@@ -168,28 +163,21 @@ class LSMStore(KVStore):
         runs.extend(t.entries() for t in overlapping)
 
         drop_tombstones = target_level >= self._bottom_populated_level()
-        merged, tombstones_dropped, stale_dropped = merge_runs(runs, drop_tombstones)
+        drops = MergeDrops()
+        new_table = SSTable(merge_runs(runs, drop_tombstones, drops))  # drains the merge
 
-        read_bytes = sum(t.data_bytes for t in source_tables) + sum(
-            t.data_bytes for t in overlapping
-        )
-        self.metrics.compaction_bytes_read += read_bytes
-        self.metrics.tombstones_dropped += tombstones_dropped
-        self.metrics.stale_entries_dropped += stale_dropped
+        merged_tables = source_tables + overlapping
+        self.metrics.compaction_bytes_read += sum(t.data_bytes for t in merged_tables)
+        self.metrics.tombstones_dropped += drops.tombstones
+        self.metrics.stale_entries_dropped += drops.stale
         self.metrics.compactions += 1
-
-        for table in source_tables + overlapping:
-            self._cache.drop_table(table.table_id)
-
-        new_tables: list[SSTable] = []
-        if merged:
-            new_table = SSTable(merged)
-            self.metrics.compaction_bytes_written += new_table.data_bytes
-            new_tables.append(new_table)
+        self.metrics.compaction_bytes_written += new_table.data_bytes
+        self._cache.drop_tables({t.table_id for t in merged_tables})
 
         self._levels[level] = []
         self._levels[target_level] = sorted(
-            keep + new_tables, key=lambda t: t.smallest or b""
+            keep + ([new_table] if len(new_table) else []),
+            key=lambda t: t.smallest or b"",
         )
 
     # -- read path ----------------------------------------------------------
@@ -243,20 +231,19 @@ class LSMStore(KVStore):
     def scan(
         self, start: bytes, end: Optional[bytes] = None
     ) -> Iterator[tuple[bytes, bytes]]:
+        """Live pairs of ``[start, end)`` as of the first ``next()``: the
+        memtable is copied and tables are immutable, so writes, flushes
+        and compactions under an open scan do not show in it.  Work is
+        proportional to the pairs taken, not to the store."""
         self.metrics.user_scans += 1
-        runs: list[Iterator[tuple[bytes, Entry]]] = [
-            self._memtable.iter_range(start, end)
-        ]
-        runs.extend(t.iter_range(start, end) for t in reversed(self._levels[0]))
-        for level in range(1, self.config.max_levels):
-            for table in self._levels[level]:
-                runs.append(table.iter_range(start, end))
-        merged, _, _ = merge_runs(runs, drop_tombstones=True)
-        for key, entry in merged:
-            yield key, entry  # type: ignore[misc]
+        runs = [self._memtable.iter_range(start, end)]
+        # Newest first: memtable, L0 newest-last on append, then deeper levels.
+        tables = self._levels[0][::-1] + [t for level in self._levels[1:] for t in level]
+        runs.extend(t.iter_range(start, end) for t in tables if t.spans(start, end))
+        yield from merge_runs(runs, drop_tombstones=True)  # type: ignore[misc]
 
     def __len__(self) -> int:
-        return self._live_keys
+        return len(self._live)
 
     # -- introspection ------------------------------------------------------
 
@@ -280,7 +267,4 @@ class LSMStore(KVStore):
     def live_tombstones(self) -> int:
         """Tombstones currently resident across all tables + memtable."""
         count = sum(t.num_tombstones for level in self._levels for t in level)
-        count += sum(
-            1 for _, entry in self._memtable.sorted_entries() if entry is TOMBSTONE
-        )
-        return count
+        return count + self._memtable.num_tombstones

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import KeyNotFoundError
 from repro.kvstore.lsm import LSMConfig, LSMStore, MemTable, SSTable, TOMBSTONE
-from repro.kvstore.lsm.sstable import merge_runs
+from repro.kvstore.lsm.sstable import MergeDrops, merge_runs
 
 SMALL = LSMConfig(memtable_bytes=2048, l0_compaction_trigger=2, level_base_bytes=8192)
 
@@ -77,17 +77,17 @@ class TestSSTable:
     def test_merge_runs_newest_wins(self):
         new = [(b"a", b"new"), (b"b", b"keep")]
         old = [(b"a", b"old"), (b"c", b"3")]
-        merged, dropped_tomb, stale = merge_runs(
-            [iter(new), iter(old)], drop_tombstones=False
-        )
+        drops = MergeDrops()
+        merged = merge_runs([iter(new), iter(old)], drop_tombstones=False, drops=drops)
         assert dict(merged) == {b"a": b"new", b"b": b"keep", b"c": b"3"}
-        assert stale == 1 and dropped_tomb == 0
+        assert drops.stale == 1 and drops.tombstones == 0
 
     def test_merge_drops_tombstones_at_bottom(self):
         run = [(b"a", TOMBSTONE), (b"b", b"2")]
-        merged, dropped, _ = merge_runs([iter(run)], drop_tombstones=True)
+        drops = MergeDrops()
+        merged = merge_runs([iter(run)], drop_tombstones=True, drops=drops)
         assert dict(merged) == {b"b": b"2"}
-        assert dropped == 1
+        assert drops.tombstones == 1
 
 
 class TestLSMStore:
@@ -159,6 +159,68 @@ class TestLSMStore:
             store.delete(b"key%02d" % i)
         store.put(b"key00", b"back")
         assert len(store) == 41
+
+    def test_deletes_of_unwritten_keys_leave_no_liveness_state(self):
+        store = LSMStore(SMALL)
+        for i in range(10_000):
+            store.delete(b"never%05d" % i)
+        assert len(store) == 0
+        assert not store._live
+
+    def test_live_tombstones_counts_memtable_and_tables(self):
+        store = LSMStore(LSMConfig(l0_compaction_trigger=100))
+        for i in range(10):
+            store.put(b"key%02d" % i, b"v")
+        for i in range(4):
+            store.delete(b"key%02d" % i)
+        assert store.live_tombstones() == 4
+        store.flush_memtable()
+        store.delete(b"key09")
+        assert store.live_tombstones() == 5
+
+    def test_open_scan_keeps_its_snapshot_across_writes_and_compactions(self):
+        rng = random.Random(5)
+        store = LSMStore(SMALL)
+        model = {}
+        for i in range(600):
+            key = b"key%04d" % rng.randrange(400)
+            model[key] = value = b"v%d" % i
+            store.put(key, value)
+        snapshot = sorted(model.items())
+        scan = store.scan(b"key0100", b"key0350")
+        expected = [pair for pair in snapshot if b"key0100" <= pair[0] < b"key0350"]
+        assert next(scan) == expected[0]
+
+        compactions = store.metrics.compactions
+        for i in range(2000):
+            key = b"key%04d" % rng.randrange(400)
+            if rng.random() < 0.5:
+                store.put(key, b"w%d" % i)
+                model[key] = b"w%d" % i
+            else:
+                store.delete(key)
+                model.pop(key, None)
+        assert store.metrics.compactions > compactions + 2
+
+        assert list(scan) == expected[1:]
+        assert list(store.scan(b"")) == sorted(model.items())
+
+    def test_compaction_drops_cached_entries_of_every_merged_table(self):
+        store = LSMStore(SMALL)
+        for i in range(40):
+            store.put(b"key%04d" % i, b"v" * 30)
+        store.flush_memtable()
+        for i in range(40):
+            store.get(b"key%04d" % i)
+        merged_ids = {t.table_id for level in store._levels for t in level}
+        assert {table_id for table_id, _ in store._cache._entries} == merged_ids
+        compactions = store.metrics.compactions
+        for i in range(40, 400):
+            store.put(b"key%04d" % i, b"v" * 30)
+        assert store.metrics.compactions > compactions
+        live_ids = {t.table_id for level in store._levels for t in level}
+        assert not merged_ids & live_ids
+        assert all(table_id in live_ids for table_id, _ in store._cache._entries)
 
     def test_level_stats(self):
         store = LSMStore(SMALL)

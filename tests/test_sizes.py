@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 from hypothesis import given, strategies as st
 
@@ -80,6 +81,31 @@ class TestSizeAnalyzer:
         analyzer = SizeAnalyzer()
         analyzer.add_store_snapshot([(b"c" + b"\x01" * 32, b"code" * 100)])
         assert analyzer.stats_for(KVClass.CODE).value_size.mean == 400
+
+    def test_store_snapshot_in_slices_equals_pair_by_pair(self, monkeypatch):
+        monkeypatch.setattr("repro.core.sizes._SNAPSHOT_SLICE", 64)
+        rng = random.Random(11)
+        pairs = [
+            (rng.choice([b"A", b"O", b"a", b"o", b"l", b"c"]) + rng.randbytes(rng.randrange(1, 40)),
+             rng.randbytes(rng.randrange(200)))
+            for _ in range(1_000)
+        ] + [(b"LastFast", b"x" * 32)]
+        by_pair = SizeAnalyzer()
+        for key, value in pairs:
+            by_pair.add_pair(key, len(value))
+        sliced = SizeAnalyzer()
+        sliced.add_store_snapshot(iter(pairs))  # a store scan is an iterator
+        assert sliced.total_pairs == by_pair.total_pairs == 1_001
+        assert sliced.observed_classes() == by_pair.observed_classes()
+        for kv_class in by_pair.observed_classes():
+            got, want = sliced.stats_for(kv_class), by_pair.stats_for(kv_class)
+            assert got.num_pairs == want.num_pairs
+            assert got.kv_size_histogram == want.kv_size_histogram
+            for a, b in ((got.key_size, want.key_size), (got.value_size, want.value_size)):
+                assert (a.count, a.minimum, a.maximum) == (b.count, b.minimum, b.maximum)
+                assert math.isclose(a.mean, b.mean, rel_tol=1e-12)
+                assert math.isclose(a.variance, b.variance, rel_tol=1e-9)
+                assert a.format_mean_ci() == b.format_mean_ci()
 
     def test_dominant_share(self):
         analyzer = SizeAnalyzer()

@@ -13,6 +13,7 @@ from hypothesis import settings
 from hypothesis.stateful import (
     RuleBasedStateMachine,
     invariant,
+    precondition,
     rule,
 )
 from hypothesis import strategies as st
@@ -27,7 +28,8 @@ VALUES = st.binary(min_size=1, max_size=24)
 
 
 class LSMMachine(RuleBasedStateMachine):
-    """LSM store vs dict under random put/delete/get/scan."""
+    """LSM store vs dict under random put/delete/get/scan, with one scan
+    held open across the other rules."""
 
     def __init__(self):
         super().__init__()
@@ -35,6 +37,8 @@ class LSMMachine(RuleBasedStateMachine):
             LSMConfig(memtable_bytes=384, l0_compaction_trigger=2, level_base_bytes=1536)
         )
         self.model: dict[bytes, bytes] = {}
+        #: (iterator, pairs it still owes) of a scan left open across rules
+        self.open_scan = None
 
     @rule(key=KEYS, value=VALUES)
     def put(self, key, value):
@@ -61,6 +65,30 @@ class LSMMachine(RuleBasedStateMachine):
     @rule()
     def scan_matches(self):
         assert dict(self.store.scan(b"")) == self.model
+
+    @rule(bounds=st.tuples(KEYS, KEYS))
+    def bounded_scan_matches(self, bounds):
+        start, end = min(bounds), max(bounds)
+        expected = sorted(pair for pair in self.model.items() if start <= pair[0] < end)
+        assert list(self.store.scan(start, end)) == expected
+
+    @precondition(lambda self: self.open_scan is None)
+    @rule(start=st.one_of(st.just(b""), KEYS))
+    def open_scan_and_take_one(self, start):
+        # The first next() is the snapshot point: whatever put, delete,
+        # flush (and the compactions it triggers) runs before the drain
+        # must not show in the rest of the scan.
+        expected = sorted(pair for pair in self.model.items() if pair[0] >= start)
+        scan = self.store.scan(start)
+        assert next(scan, None) == (expected[0] if expected else None)
+        self.open_scan = (scan, expected[1:])
+
+    @precondition(lambda self: self.open_scan is not None)
+    @rule()
+    def drain_open_scan(self):
+        scan, expected = self.open_scan
+        self.open_scan = None
+        assert list(scan) == expected
 
 
 class HashLogMachine(RuleBasedStateMachine):
@@ -166,7 +194,7 @@ class TrieMachine(RuleBasedStateMachine):
 
 
 TestLSMMachine = LSMMachine.TestCase
-TestLSMMachine.settings = settings(max_examples=20, stateful_step_count=40, deadline=None)
+TestLSMMachine.settings = settings(max_examples=40, stateful_step_count=50, deadline=None)
 
 TestHashLogMachine = HashLogMachine.TestCase
 TestHashLogMachine.settings = settings(
