@@ -261,6 +261,11 @@ class TraceReader:
 # all error bursts up to 32 bits).  Strict readers raise
 # :class:`TraceFormatError` naming the chunk; ``lenient`` readers skip
 # the corrupt chunk with a logged warning and keep going.
+#
+# The counts are read before the CRC that covers them can be checked, so
+# every section length is bounded by the bytes left in the stream before
+# any read: a damaged count cannot ask for more memory than the file
+# holds, and fails as a truncated section instead.
 
 _TAG_CHUNK = 0x01
 _TAG_FOOTER = 0x02
@@ -273,8 +278,46 @@ _TRAILER = struct.Struct("<Q4s")  # footer offset, trailer magic
 _TRAILER_MAGIC = b"EKVF"
 
 
-def _read_exact(stream: IO[bytes], size: int, what: str) -> bytes:
-    data = stream.read(size)
+#: largest single read from a stream whose remaining length is unknown
+_READ_PIECE = 1 << 20
+
+
+def _bytes_left(stream: IO[bytes]) -> Optional[int]:
+    """Bytes between the stream's position and its end, or ``None`` for
+    a stream that cannot tell or seek (a pipe, a socket, a gzip file)."""
+    try:
+        here = stream.tell()
+        end = stream.seek(0, io.SEEK_END)
+        stream.seek(here)
+    except (AttributeError, OSError, ValueError):  # UnsupportedOperation is both
+        return None
+    return max(end - here, 0)
+
+
+def _read_exact(
+    stream: IO[bytes], size: int, what: str, left: Optional[int] = None
+) -> bytes:
+    """Read exactly ``size`` bytes or raise ``TraceFormatError("truncated …")``.
+
+    ``left`` is the number of bytes known to remain (:func:`_bytes_left`):
+    a larger ``size`` fails before anything is allocated.  When it is
+    unknown, a large read is taken in :data:`_READ_PIECE` pieces, so
+    memory grows only as bytes actually arrive.
+    """
+    if left is not None and size > left:
+        raise TraceFormatError(f"truncated {what}: wanted {size}, got {left}")
+    if left is None and size > _READ_PIECE:
+        pieces = []
+        missing = size
+        while missing:
+            piece = stream.read(min(missing, _READ_PIECE))
+            if not piece:
+                break
+            pieces.append(piece)
+            missing -= len(piece)
+        data = b"".join(pieces)
+    else:
+        data = stream.read(size)
     if len(data) != size:
         raise TraceFormatError(f"truncated {what}: wanted {size}, got {len(data)}")
     return data
@@ -343,21 +386,27 @@ def _read_chunk_parts(stream: IO[bytes], what: str) -> tuple[bytes, bytes, bytes
     key-length column gives the blob size), so this consumes exactly the
     section and leaves the stream at the next tag byte.  The three
     buffers are returned separately — no concatenation copy; the parser
-    wraps them with ``np.frombuffer`` views directly.
+    wraps them with ``np.frombuffer`` views directly.  The counts are not
+    yet verified, so the lengths they imply are bounded by the bytes left
+    in the stream (measured once per section) before anything is read.
     """
     import numpy as np
 
     counts = _read_exact(stream, _CHUNK_COUNTS.size, f"{what} header")
     num_records, num_keys = _CHUNK_COUNTS.unpack(counts)
+    left = _bytes_left(stream)
     columns = _read_exact(
         stream,
         _RECORD_COLUMN_BYTES * num_records + 2 * num_keys,
         f"{what} columns",
+        left,
     )
+    if left is not None:
+        left -= len(columns)
     key_lens = np.frombuffer(
         columns, dtype="<u2", count=num_keys, offset=_RECORD_COLUMN_BYTES * num_records
     )
-    blob = _read_exact(stream, int(key_lens.sum()), f"{what} key blob")
+    blob = _read_exact(stream, int(key_lens.sum()), f"{what} key blob", left)
     return counts, columns, blob
 
 
@@ -601,13 +650,14 @@ class ColumnarTraceReader:
             yield from chunk_records(_iter_v1_records(self._stream), self._chunk_size)
             return
         read = self._stream.read
+        # a pipe cannot tell its position; its chunks are named by index
+        tell = self._stream.tell if self._stream.seekable() else None
         index = 0
         while True:
-            offset = self._stream.tell()
+            what = f"chunk {index} at offset {tell()}" if tell else f"chunk {index}"
             tag = read(1)
             if not tag or tag[0] == _TAG_FOOTER:
                 return
-            what = f"chunk {index} at offset {offset}"
             if tag[0] not in (_TAG_CHUNK, _TAG_CHUNK_CRC):
                 error = TraceFormatError(f"{what}: bad v2 section tag {tag!r}")
                 if self.lenient:

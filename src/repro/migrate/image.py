@@ -78,6 +78,16 @@ def _decode_pairs(payload: bytes, count: int, where: str) -> list[tuple[bytes, b
     return pairs
 
 
+def _read_length(fh: BinaryIO, length: int, size: int) -> Optional[bytes]:
+    """Read ``length`` bytes, or return ``None`` if fewer remain before
+    ``size`` (the file size); an over-long, unverified length is refused
+    before anything is allocated."""
+    if length > size - fh.tell():
+        return None
+    data = fh.read(length)
+    return data if len(data) == length else None
+
+
 class ImageWriter:
     """Incremental block-at-a-time image writer (spill or full image).
 
@@ -163,9 +173,12 @@ def read_image_pairs(
     footer to be present and consistent.  ``salvage=True`` accepts a
     footer-less spill and stops silently at the first torn or
     CRC-damaged tail block — the resume path for a killed bulk copy.
+    Lengths read from the file are bounded by the bytes left in it, so a
+    damaged length reads as a truncated section.
     """
     path = Path(path)
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         if fh.read(len(MAGIC)) != MAGIC:
             raise ImageFormatError(f"{path}: bad magic (not a repro-kvimage-v1 file)")
         total = 0
@@ -183,9 +196,9 @@ def read_image_pairs(
                         return
                     raise ImageFormatError(f"{path}: truncated footer")
                 pairs, digest_len = _FOOTER_HEAD.unpack(footer)
-                digest = fh.read(digest_len)
+                digest = _read_length(fh, digest_len, size)
                 crc_raw = fh.read(_CRC.size)
-                if len(digest) < digest_len or len(crc_raw) < _CRC.size:
+                if digest is None or len(crc_raw) < _CRC.size:
                     if salvage:
                         return
                     raise ImageFormatError(f"{path}: truncated footer")
@@ -211,9 +224,9 @@ def read_image_pairs(
                     return
                 raise ImageFormatError(f"{path}: truncated block header")
             count, payload_len = _BLOCK_HEAD.unpack(head)
-            payload = fh.read(payload_len)
+            payload = _read_length(fh, payload_len, size)
             crc_raw = fh.read(_CRC.size)
-            if len(payload) < payload_len or len(crc_raw) < _CRC.size:
+            if payload is None or len(crc_raw) < _CRC.size:
                 if salvage:
                     return
                 raise ImageFormatError(f"{path}: truncated block payload")

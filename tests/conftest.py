@@ -7,6 +7,9 @@ integration-level tests (findings, analysis, reports).
 
 from __future__ import annotations
 
+import contextlib
+import tracemalloc
+
 import pytest
 
 from repro.core.analysis import TraceAnalysis
@@ -38,6 +41,27 @@ def _isolated_metrics_registry():
         yield
     finally:
         set_registry(previous)
+
+
+@pytest.fixture
+def allocation_bound():
+    """Context manager asserting that its block allocates at most a small
+    multiple of ``file_bytes`` (the size of the file it reads) plus a
+    constant for the interpreter's own bookkeeping and one bounded read
+    piece — a decoder trusting a damaged length would ask for far more."""
+
+    @contextlib.contextmanager
+    def check(file_bytes: int):
+        tracemalloc.start()
+        try:
+            yield
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = 8 * file_bytes + (4 << 20)
+        assert peak < bound, f"peak {peak} B reading a {file_bytes} B file"
+
+    return check
 
 
 SMALL_WORKLOAD = WorkloadConfig(

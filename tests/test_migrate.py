@@ -33,7 +33,7 @@ from repro.migrate import (
     write_image,
 )
 from repro.migrate.copier import plan_ranges
-from repro.migrate.image import ImageWriter, TMP_SUFFIX
+from repro.migrate.image import MAGIC, ImageWriter, TMP_SUFFIX
 from repro.obs import MetricsRegistry
 from repro.replay.backends import make_store
 from repro.replay.partition import shard_of
@@ -128,6 +128,44 @@ class TestImage:
         raw = spill.read_bytes()
         spill.write_bytes(raw[:-7])
         assert list(read_image_pairs(spill, salvage=True)) == pairs[:40]
+
+    def test_over_long_payload_length_is_a_truncated_block(
+        self, tmp_path, allocation_bound
+    ):
+        # the high byte of the second block's u64 payload_len: the length
+        # is read before the block CRC can be checked, so it must be
+        # refused before anything is allocated
+        path = tmp_path / "img.kvimg"
+        pairs = make_pairs(200)
+        write_image(path, pairs, block_pairs=50)
+        raw = bytearray(path.read_bytes())
+        first = len(MAGIC)
+        payload_len = int.from_bytes(raw[first + 5 : first + 13], "little")
+        second = first + 13 + payload_len + 4
+        raw[second + 12] ^= 0xFF
+        path.write_bytes(bytes(raw))
+        with allocation_bound(len(raw)):
+            with pytest.raises(ImageFormatError, match="truncated block payload"):
+                list(read_image_pairs(path))
+            assert list(read_image_pairs(path, salvage=True)) == pairs[:50]
+
+    def test_over_long_digest_length_is_a_truncated_footer(
+        self, tmp_path, allocation_bound
+    ):
+        path = tmp_path / "img.kvimg"
+        pairs = make_pairs(20)
+        write_image(path, pairs)
+        raw = bytearray(path.read_bytes())
+        first = len(MAGIC)  # the only block, then the footer
+        payload_len = int.from_bytes(raw[first + 5 : first + 13], "little")
+        footer = first + 13 + payload_len + 4
+        assert raw[footer : footer + 1] == b"F"
+        raw[footer + 12] ^= 0xFF  # high byte of the u32 digest_len
+        path.write_bytes(bytes(raw))
+        with allocation_bound(len(raw)):
+            with pytest.raises(ImageFormatError, match="truncated footer"):
+                list(read_image_pairs(path))
+            assert list(read_image_pairs(path, salvage=True)) == pairs
 
     def test_footer_count_mismatch_rejected(self, tmp_path):
         path = tmp_path / "img.kvimg"

@@ -429,3 +429,76 @@ class TestChunkCorruption:
         # sanity: an undamaged file still reads back exactly
         path, records = self._trace_file(tmp_path)
         assert list(read_trace(path)) == records
+
+    def test_over_long_count_fails_within_the_file_size(
+        self, tmp_path, allocation_bound
+    ):
+        # offset + 12 is the high byte of num_keys: the columns length it
+        # implies is ~8.5 GB, and the count is read before its CRC can be
+        # checked, so the read must be refused before anything is allocated
+        from repro.core.trace import open_trace_chunks
+
+        path, _ = self._trace_file(tmp_path)
+        offset = read_trace_footer(path).chunks[3][0]
+        damaged = bytearray(path.read_bytes())
+        damaged[offset + 12] ^= 0xFF
+        path.write_bytes(bytes(damaged))
+        with allocation_bound(len(damaged)):
+            with pytest.raises(
+                TraceFormatError, match=f"truncated chunk at offset {offset}"
+            ):
+                list(open_trace_chunks(path))
+
+    def test_lenient_skips_a_chunk_with_an_over_long_count(self, tmp_path, caplog):
+        import logging
+
+        from repro.core.trace import open_trace_chunks
+
+        path, records = self._trace_file(tmp_path)
+        offset, chunk_count = read_trace_footer(path).chunks[2]
+        damaged = bytearray(path.read_bytes())
+        damaged[offset + 12] ^= 0xFF
+        path.write_bytes(bytes(damaged))
+        with caplog.at_level(logging.WARNING, logger="repro.trace"):
+            survived = [
+                record
+                for chunk in open_trace_chunks(path, lenient=True)
+                for record in chunk.to_records()
+            ]
+        assert len(survived) == len(records) - chunk_count
+        assert any("skipping corrupt" in message for message in caplog.messages)
+        assert survived == records[: 2 * 5] + records[3 * 5 :]
+
+    def test_unseekable_stream_reads_an_over_long_count_in_pieces(
+        self, tmp_path, allocation_bound
+    ):
+        # a pipe has no known end: the over-long section is read in bounded
+        # pieces and fails as truncated once the bytes run out
+        path, records = self._trace_file(tmp_path)
+        offset = read_trace_footer(path).chunks[1][0]
+        original = path.read_bytes()
+        assert list(ColumnarTraceReader(_unseekable(original))) == records
+        damaged = bytearray(original)
+        damaged[offset + 12] ^= 0xFF
+        with allocation_bound(len(damaged)):
+            with pytest.raises(TraceFormatError, match="truncated chunk 1 columns"):
+                list(ColumnarTraceReader(_unseekable(bytes(damaged))))
+        lenient = ColumnarTraceReader(_unseekable(bytes(damaged)), lenient=True)
+        assert list(lenient) == records[:5]
+
+
+class _UnseekableRaw(io.RawIOBase):
+    """A pipe stand-in: readable, but cannot seek or tell."""
+
+    def __init__(self, data: bytes) -> None:
+        self._data = io.BytesIO(data)
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        return self._data.readinto(buffer)
+
+
+def _unseekable(data: bytes) -> io.BufferedReader:
+    return io.BufferedReader(_UnseekableRaw(data))
