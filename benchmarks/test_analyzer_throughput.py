@@ -203,7 +203,7 @@ def test_parallel_scheduler_throughput(
 
 
 # ---------------------------------------------------------------------------
-# Analysis hot path: partial-aggregate cache + prefetch pipeline
+# Analysis hot path: partial-aggregate cache
 # ---------------------------------------------------------------------------
 
 
@@ -234,21 +234,3 @@ def test_aggcache_warm_speedup(bench_ctx, record_rate):
         f"warm {warm_elapsed * 1e3:.1f} ms ({speedup:.2f}x)"
     )
     assert speedup >= 2.0, f"warm cache only {speedup:.2f}x over cold (< 2x)"
-
-
-def test_pipelined_vs_phased(bench_ctx, record_rate):
-    """The prefetch pipeline must never cost serial throughput versus
-    the read-everything-then-analyze baseline (it should gain whenever
-    chunk I/O isn't free, but the floor here is no-regression)."""
-    pipelined = _workload("pipelined_serial", bench_ctx)
-    phased = _workload("phased_serial", bench_ctx)
-    pipelined_elapsed = _best_of(pipelined)
-    phased_elapsed = _best_of(phased)
-    record_rate("pipelined_serial", pipelined.ops / pipelined_elapsed)
-    record_rate("phased_serial", phased.ops / phased_elapsed)
-    ratio = phased_elapsed / pipelined_elapsed
-    print(
-        f"\npipeline: phased {phased_elapsed * 1e3:.1f} ms, "
-        f"pipelined {pipelined_elapsed * 1e3:.1f} ms ({ratio:.2f}x)"
-    )
-    assert ratio > 0.75, f"prefetch pipeline regressed serial path: {ratio:.2f}x"

@@ -235,7 +235,7 @@ def parallel_workers4(ctx: BenchContext) -> Workload:
 
 
 # ---------------------------------------------------------------------------
-# analysis hot path: partial-aggregate cache + prefetch pipeline
+# analysis hot path: partial-aggregate cache
 # ---------------------------------------------------------------------------
 
 
@@ -285,43 +285,6 @@ def aggcache_cold(ctx: BenchContext) -> Workload:
 def aggcache_warm(ctx: BenchContext) -> Workload:
     """Warm re-analysis served entirely from cached per-chunk partials."""
     return _cached_analysis_workload(ctx, warm=True)
-
-
-@benchmark(group="pipeline")
-def pipelined_serial(ctx: BenchContext) -> Workload:
-    """Serial file analysis with the bounded prefetch pipeline
-    (reader thread overlaps chunk I/O with analyzer compute)."""
-    from repro.core.parallel import analyze_trace
-    from repro.obs import MetricsRegistry
-
-    path = ctx.parallel_trace_path
-    expected = ctx.profile.parallel_chunks * ctx.profile.parallel_records_per_chunk
-    return Workload(
-        run=lambda: analyze_trace(
-            path, workers=1, analyzers=("opdist",), registry=MetricsRegistry()
-        )["opdist"].total_ops,
-        ops=expected,
-        check=lambda total: _expect(total, expected),
-    )
-
-
-@benchmark(group="pipeline")
-def phased_serial(ctx: BenchContext) -> Workload:
-    """Read-then-analyze phases with no I/O/compute overlap — the
-    pipelining baseline the prefetch path is measured against."""
-    from repro.core.parallel import analyze_chunks
-    from repro.core.trace import open_trace_chunks
-
-    path = ctx.parallel_trace_path
-    expected = ctx.profile.parallel_chunks * ctx.profile.parallel_records_per_chunk
-
-    def run():
-        chunks = list(open_trace_chunks(path))
-        return analyze_chunks(chunks, analyzers=("opdist",))["opdist"].total_ops
-
-    return Workload(
-        run=run, ops=expected, check=lambda total: _expect(total, expected)
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -46,11 +46,10 @@ import pickle
 import struct
 import threading
 import zlib
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.core.analysis import _chunk_partials, stream_trace_analysis
 from repro.core.columnar import DEFAULT_CHUNK_SIZE
 from repro.core.parallel import (
     ANALYZER_FACTORIES,
@@ -59,12 +58,13 @@ from repro.core.parallel import (
     TraceSource,
     WorkerFault,
     _make_analyzers,
+    _run_shards,
+    _ShardTask,
     _split_shards,
     analyze_trace,
-    prefetch_raw_chunks,
 )
 from repro.core.trace import RandomAccessChunkReader, read_trace_footer
-from repro.errors import AnalysisError, TraceFormatError
+from repro.errors import TraceFormatError
 from repro.obs.registry import MetricsRegistry
 
 _LOG = logging.getLogger("repro.aggcache")
@@ -344,61 +344,24 @@ class AggregateCache:
 
 
 def _compute_partials_job(
-    job: Tuple[str, bool, bool, Tuple[str, ...], Tuple[Tuple[int, int, Tuple[str, ...]], ...]]
-) -> List[Tuple[int, Optional[int], Dict[str, object]]]:
-    """Pool worker: per-chunk partials for the cache-aware parallel path.
+    task: _ShardTask,
+) -> List[Optional[Tuple[int, int, Dict[str, object]]]]:
+    """Pool job: per-chunk partials for the cache-aware pooled path.
 
-    ``job`` is ``(path, lenient, track_keys, names, entries)`` with each
-    entry ``(slot, offset, missing analyzer names)``.  Returns
-    ``(slot, computed payload crc | None, {name: partial})`` per entry —
-    chunk-granular partials (unlike :func:`~repro.core.parallel._analyze_shard`'s
-    shard-merged ones) so the parent can both cache them and merge them
-    in global footer order.
+    Runs the cache-or-compute step with no cache (the parent probed it
+    already and publishes what comes back) over every offset of
+    ``task``.  Returns one ``(computed payload crc, record count,
+    {name: partial})`` per offset, ``None`` where a lenient read dropped
+    the chunk — chunk-granular partials (unlike
+    :func:`~repro.core.parallel._analyze_shard`'s shard-merged ones) so
+    the parent can both cache them and merge them in global footer
+    order.
     """
-    path, lenient, track_keys, _names, entries = job
-    out: List[Tuple[int, Optional[int], Dict[str, object]]] = []
-    with RandomAccessChunkReader(path, lenient=lenient) as reader:
-        for slot, offset, missing in entries:
-            raw = reader.read_raw(offset)
-            if raw is None:  # lenient: the chunk is corrupt, drop the slot
-                out.append((slot, None, {}))
-                continue
-            try:
-                chunk = raw.parse()
-            except TraceFormatError:
-                if not lenient:
-                    raise
-                out.append((slot, None, {}))
-                continue
-            partials: Dict[str, object] = {}
-            for name in missing:
-                analyzer = ANALYZER_FACTORIES[name](track_keys)
-                analyzer.consume_chunk(chunk)
-                partials[name] = analyzer
-            out.append((slot, raw.crc, partials))
-    return out
-
-
-def _run_miss_jobs(
-    jobs: Sequence[tuple], workers: int
-) -> List[Tuple[int, Optional[int], Dict[str, object]]]:
-    """Run miss-compute jobs on a pool; fall back in-process on pool death."""
-    results: List[Tuple[int, Optional[int], Dict[str, object]]] = []
-    broken: List[tuple] = []
-    with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-        futures = [(job, pool.submit(_compute_partials_job, job)) for job in jobs]
-        for job, future in futures:
-            try:
-                results.extend(future.result())
-            except BrokenProcessPool:
-                broken.append(job)
-            except Exception as exc:
-                raise AnalysisError(
-                    f"cache-miss compute failed in a worker process: {exc}"
-                ) from exc
-    for job in broken:  # a dead worker loses the pool; redo its job here
-        results.extend(_compute_partials_job(job))
-    return results
+    with RandomAccessChunkReader(task.path, lenient=task.lenient) as reader:
+        return [
+            _chunk_partials(reader, offset, task.names, task.track_keys)
+            for offset in task.offsets
+        ]
 
 
 def analyze_trace_cached(
@@ -420,12 +383,16 @@ def analyze_trace_cached(
     order-sensitive analyzers (blockstats) see chunks exactly as a
     serial scan would, and warm results are byte-identical to cold ones.
 
-    ``workers=1`` pipelines: a prefetch thread reads + CRCs chunks off
-    one handle while this thread serves cache lookups and computes
-    misses.  ``workers>1`` probes each chunk's *stored* CRC first (five
-    bytes) and only pays a full read for probe hits — which are then
-    verified against the computed CRC before anything cached is served —
-    while misses fan out to a process pool in contiguous groups.
+    ``workers=1`` is the last step of
+    :func:`~repro.core.analysis.stream_trace_analysis`: chunks are read
+    on this thread through one open handle, and cache lookups and miss
+    computes happen chunk by chunk.  ``workers>1`` probes each chunk's
+    *stored* CRC first (five bytes) and only pays a full read for probe
+    hits — which are then verified against the computed CRC before
+    anything cached is served — while misses fan out in contiguous
+    groups to the process pool of
+    :func:`~repro.core.parallel.analyze_trace`, under its worker-death
+    policy (:class:`~repro.core.parallel.RetryPolicy` defaults).
 
     Raises :class:`~repro.errors.TraceFormatError` if ``path`` has no
     v2 footer; use :func:`analyze_trace_maybe_cached` to fall back to
@@ -433,6 +400,41 @@ def analyze_trace_cached(
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    if workers > 1:
+        return _analyze_trace_pooled(
+            path,
+            cache=cache,
+            workers=workers,
+            analyzers=analyzers,
+            track_keys=track_keys,
+            lenient=lenient,
+            registry=registry,
+        )
+    for step in stream_trace_analysis(
+        path,
+        analyzers=analyzers,
+        track_keys=track_keys,
+        lenient=lenient,
+        cache=cache,
+        registry=registry,
+    ):
+        pass
+    return step.analyzers
+
+
+def _analyze_trace_pooled(
+    path: Union[str, Path],
+    *,
+    cache: AggregateCache,
+    workers: int,
+    analyzers: Sequence[str],
+    track_keys: bool,
+    lenient: bool,
+    registry: Optional[MetricsRegistry],
+    retry: Optional[RetryPolicy] = None,
+    fault: Optional[WorkerFault] = None,
+) -> Dict[str, object]:
+    """The ``workers>1`` branch of :func:`analyze_trace_cached`."""
     if registry is None:
         from repro.obs import get_registry
 
@@ -449,93 +451,63 @@ def analyze_trace_cached(
     #: or None when a lenient read dropped the chunk.
     slots: List[Optional[Dict[str, object]]] = []
     counts: List[int] = []
-    #: (slot, offset, names still to compute) for the parallel path
-    misses: List[Tuple[int, int, Tuple[str, ...]]] = []
+    #: (slot, offset) of every chunk the cache cannot serve whole
+    misses: List[Tuple[int, int]] = []
 
-    def lookup(crc: int) -> Tuple[Dict[str, object], Tuple[str, ...]]:
-        found: Dict[str, object] = {}
-        missing: List[str] = []
-        for name in names:
-            got = cache.get(cache.entry_key(crc, name, versions[name], track_keys))
-            if got is None:
-                missing.append(name)
-            else:
-                found[name] = got
-        return found, tuple(missing)
-
-    if workers == 1:
-        prefetcher = prefetch_raw_chunks(
-            path, [offset for offset, _ in footer.chunks], lenient=lenient, registry=registry
-        )
-        try:
-            for offset, raw in prefetcher:
-                if raw is None:
-                    slots.append(None)
-                    counts.append(0)
+    # Probe phase: stored CRCs are 5-byte reads, so a cold parallel run
+    # leaves the heavy reading to the workers; a probe hit pays one full
+    # read here and is served only after the computed CRC confirms the
+    # stored one (read_raw raises/returns None on mismatch — a forged
+    # stored CRC cannot reach the cache).
+    with RandomAccessChunkReader(path, lenient=lenient) as reader:
+        for offset, count in footer.chunks:
+            slot = len(slots)
+            stored = reader.stored_crc(offset)
+            if stored is not None:
+                partials: Dict[str, object] = {}
+                for name in names:
+                    key = cache.entry_key(stored, name, versions[name], track_keys)
+                    got = cache.get(key)
+                    if got is not None:
+                        partials[name] = got
+                if len(partials) == len(names):
+                    raw = reader.read_raw(offset)
+                    slots.append(None if raw is None else partials)
+                    counts.append(0 if raw is None else raw.num_records)
                     continue
-                partials, missing = lookup(raw.crc)
-                if missing:
-                    try:
-                        chunk = raw.parse()
-                    except TraceFormatError:
-                        if not lenient:
-                            raise
-                        slots.append(None)
-                        counts.append(0)
-                        continue
-                    for name in missing:
-                        analyzer = ANALYZER_FACTORIES[name](track_keys)
-                        analyzer.consume_chunk(chunk)
-                        cache.put(
-                            cache.entry_key(raw.crc, name, versions[name], track_keys),
-                            analyzer,
-                        )
-                        partials[name] = analyzer
-                slots.append(partials)
-                counts.append(raw.num_records)
-        finally:
-            prefetcher.close()
-    else:
-        # Probe phase: stored CRCs are 5-byte reads, so a cold parallel
-        # run leaves the heavy reading to the workers; a probe hit pays
-        # one full read here and is served only after the computed CRC
-        # confirms the stored one (read_raw raises/returns None on
-        # mismatch — a forged stored CRC cannot reach the cache).
-        with RandomAccessChunkReader(path, lenient=lenient) as reader:
-            for offset, count in footer.chunks:
-                slot = len(slots)
-                stored = reader.stored_crc(offset)
-                if stored is not None:
-                    partials, missing = lookup(stored)
-                    if not missing:
-                        raw = reader.read_raw(offset)
-                        if raw is None:
-                            slots.append(None)
-                            counts.append(0)
-                            continue
-                        slots.append(partials)
-                        counts.append(raw.num_records)
-                        continue
-                slots.append({})
-                counts.append(count)
-                misses.append((slot, offset, names))
-        if misses:
-            groups = _split_shards(misses, workers)
-            jobs = [
-                (path, lenient, track_keys, names, tuple(group)) for group in groups
-            ]
-            for slot, crc, partials in _run_miss_jobs(jobs, workers):
-                if crc is None:
+            slots.append({})
+            counts.append(count)
+            misses.append((slot, offset))
+    if misses:
+        groups = _split_shards(misses, workers)
+        tasks = [
+            _ShardTask(
+                index=index,
+                names=names,
+                track_keys=track_keys,
+                chunks=None,
+                path=path,
+                offsets=tuple(offset for _, offset in group),
+                lenient=lenient,
+                fault=fault,
+            )
+            for index, group in enumerate(groups)
+        ]
+        results = _run_shards(
+            _compute_partials_job, tasks, retry or RetryPolicy(), registry
+        )
+        for group, steps in zip(groups, results):
+            for (slot, _), step in zip(group, steps):
+                if step is None:
                     slots[slot] = None
                     counts[slot] = 0
                     continue
-                target = slots[slot]
-                assert target is not None
+                crc, _, partials = step
                 for name, partial in partials.items():
                     cache.put(
                         cache.entry_key(crc, name, versions[name], track_keys), partial
                     )
-                    target[name] = partial
+                slots[slot] = partials
 
     chunk_counter = registry.counter(
         "repro_analysis_chunks_total", help="Trace chunks consumed by analysis"
@@ -555,7 +527,7 @@ def analyze_trace_cached(
             for name in names:
                 merged[name].merge(partials[name])
     if merged is None:
-        return _make_analyzers(names, track_keys)
+        return probes
     return merged
 
 
@@ -577,7 +549,9 @@ def analyze_trace_maybe_cached(
     Routes to :func:`analyze_trace_cached` when a cache is supplied and
     ``source`` is a footer-indexed v2 trace file; everything else (no
     cache, v1 files, in-memory chunks or record iterables) falls back to
-    :func:`~repro.core.parallel.analyze_trace` unchanged.
+    :func:`~repro.core.parallel.analyze_trace` unchanged.  With
+    ``workers>1`` both routes share one process pool, so ``retry`` and
+    ``fault`` govern worker deaths on either.
     """
     if cache is not None and isinstance(source, (str, Path)):
         try:
@@ -585,6 +559,18 @@ def analyze_trace_maybe_cached(
         except (TraceFormatError, OSError):
             pass
         else:
+            if workers > 1:
+                return _analyze_trace_pooled(
+                    source,
+                    cache=cache,
+                    workers=workers,
+                    analyzers=analyzers,
+                    track_keys=track_keys,
+                    lenient=lenient,
+                    registry=registry,
+                    retry=retry,
+                    fault=fault,
+                )
             return analyze_trace_cached(
                 source,
                 cache=cache,

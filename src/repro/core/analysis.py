@@ -26,8 +26,10 @@ from repro.core.correlation import (
     DistanceResult,
 )
 from repro.core.opdist import OpDistAnalyzer
+from repro.core.parallel import ANALYZER_FACTORIES, _make_analyzers
 from repro.core.sizes import SizeAnalyzer
-from repro.core.trace import OpType, TraceRecord
+from repro.core.trace import OpType, RandomAccessChunkReader, TraceRecord
+from repro.errors import TraceFormatError
 
 if TYPE_CHECKING:
     from repro.core.aggcache import AggregateCache
@@ -167,6 +169,51 @@ class AnalysisProgress:
         return self.chunks_done >= self.total_chunks
 
 
+def _chunk_partials(
+    reader: RandomAccessChunkReader,
+    offset: int,
+    names: Sequence[str],
+    track_keys: bool,
+    cache: Optional["AggregateCache"] = None,
+    versions: Optional[Dict[str, int]] = None,
+) -> Optional[tuple[int, int, Dict[str, object]]]:
+    """The cache-or-compute step for the chunk at ``offset``.
+
+    Each analyzer's partial is served from ``cache`` (keyed by the
+    payload CRC computed from the bytes just read, and ``versions``)
+    when present; the rest are computed from the parsed chunk and
+    published to ``cache``.  Without a cache every partial is computed.
+    Returns ``(payload crc, record count, {name: partial})``, or
+    ``None`` when a lenient ``reader`` drops the chunk as corrupt.
+    """
+    raw = reader.read_raw(offset)
+    if raw is None:
+        return None
+    partials: Dict[str, object] = {}
+    if cache is not None:
+        for name in names:
+            got = cache.get(cache.entry_key(raw.crc, name, versions[name], track_keys))
+            if got is not None:
+                partials[name] = got
+    missing = [name for name in names if name not in partials]
+    if missing:
+        try:
+            chunk = raw.parse()
+        except TraceFormatError:
+            if not reader.lenient:
+                raise
+            return None
+        for name in missing:
+            analyzer = ANALYZER_FACTORIES[name](track_keys)
+            analyzer.consume_chunk(chunk)
+            if cache is not None:
+                cache.put(
+                    cache.entry_key(raw.crc, name, versions[name], track_keys), analyzer
+                )
+            partials[name] = analyzer
+    return raw.crc, raw.num_records, partials
+
+
 def stream_trace_analysis(
     path: Union[str, Path],
     *,
@@ -181,24 +228,22 @@ def stream_trace_analysis(
     """Incrementally analyze a footer-indexed v2 trace, batch by batch.
 
     The resumable/streaming entry point behind ``repro serve``'s
-    analyze jobs: chunks are consumed in footer order in batches of
-    ``batch_chunks``, and an :class:`AnalysisProgress` is yielded after
-    each batch with the merged-so-far partial aggregates — so a client
-    sees incremental answers whose final step exactly equals a one-shot
-    analysis.  ``start_chunk`` resumes from a chunk index (e.g. after a
-    dropped connection, given the client remembers how far it got).
+    analyze jobs, and the serial loop of
+    :func:`~repro.core.aggcache.analyze_trace_cached`: chunks are read
+    through one :class:`~repro.core.trace.RandomAccessChunkReader` and
+    consumed in footer order in batches of ``batch_chunks``, and an
+    :class:`AnalysisProgress` is yielded after each batch with the
+    merged-so-far partial aggregates — so a client sees incremental
+    answers whose final step exactly equals a one-shot analysis.
+    ``start_chunk`` resumes from a chunk index (e.g. after a dropped
+    connection, given the client remembers how far it got).
 
     When a :class:`~repro.core.aggcache.AggregateCache` is supplied,
-    each chunk's partials are served from / published to the cache
-    exactly as :func:`~repro.core.aggcache.analyze_trace_cached` would.
+    each chunk's partials are served from / published to the cache.
 
     Raises :class:`~repro.errors.TraceFormatError` for traces without a
     v2 footer (stream resumption needs random access).
     """
-    from repro.core.parallel import ANALYZER_FACTORIES, _make_analyzers
-    from repro.core.trace import RandomAccessChunkReader, read_trace_footer
-    from repro.errors import TraceFormatError
-
     if batch_chunks < 1:
         raise ValueError("batch_chunks must be >= 1")
     if start_chunk < 0:
@@ -208,87 +253,52 @@ def stream_trace_analysis(
     versions = {
         name: int(getattr(probe, "CACHE_VERSION", 0)) for name, probe in probes.items()
     }
-    footer = read_trace_footer(path)
-    offsets = [offset for offset, _ in footer.chunks]
-    total = len(offsets)
-    if start_chunk > total:
-        raise ValueError(f"start_chunk {start_chunk} beyond {total} chunks")
-
-    if registry is None:
-        from repro.obs import get_registry
-
-        registry = get_registry()
-    chunk_counter = registry.counter(
-        "repro_analysis_chunks_total", help="Trace chunks consumed by analysis"
-    )
-    record_counter = registry.counter(
-        "repro_analysis_records_total", help="Trace records consumed by analysis"
-    )
-
-    merged: Optional[Dict[str, object]] = None
-    chunks_done = start_chunk
-    records_done = 0
-
-    def fold(partials: Dict[str, object]) -> None:
-        nonlocal merged
-        if merged is None:
-            merged = {name: partials[name] for name in names}
-        else:
-            for name in names:
-                merged[name].merge(partials[name])
-
     with RandomAccessChunkReader(path, lenient=lenient) as reader:
-        while chunks_done < total:
-            batch = offsets[chunks_done : chunks_done + batch_chunks]
-            for offset in batch:
-                chunks_done += 1
-                raw = reader.read_raw(offset)
-                if raw is None:  # lenient: corrupt chunk dropped
-                    continue
-                partials: Dict[str, object] = {}
-                missing = list(names)
-                if cache is not None:
-                    missing = []
-                    for name in names:
-                        got = cache.get(
-                            cache.entry_key(raw.crc, name, versions[name], track_keys)
-                        )
-                        if got is None:
-                            missing.append(name)
-                        else:
-                            partials[name] = got
-                if missing:
-                    try:
-                        chunk = raw.parse()
-                    except TraceFormatError:
-                        if not lenient:
-                            raise
-                        continue
-                    for name in missing:
-                        analyzer = ANALYZER_FACTORIES[name](track_keys)
-                        analyzer.consume_chunk(chunk)
-                        if cache is not None:
-                            cache.put(
-                                cache.entry_key(
-                                    raw.crc, name, versions[name], track_keys
-                                ),
-                                analyzer,
-                            )
-                        partials[name] = analyzer
-                fold(partials)
-                chunk_counter.inc()
-                record_counter.inc(raw.num_records)
-                records_done += raw.num_records
-            yield AnalysisProgress(
+        offsets = [offset for offset, _ in reader.footer().chunks]
+        total = len(offsets)
+        if start_chunk > total:
+            raise ValueError(f"start_chunk {start_chunk} beyond {total} chunks")
+
+        if registry is None:
+            from repro.obs import get_registry
+
+            registry = get_registry()
+        chunk_counter = registry.counter(
+            "repro_analysis_chunks_total", help="Trace chunks consumed by analysis"
+        )
+        record_counter = registry.counter(
+            "repro_analysis_records_total", help="Trace records consumed by analysis"
+        )
+
+        merged: Optional[Dict[str, object]] = None
+        chunks_done = start_chunk
+        records_done = 0
+
+        def progress() -> AnalysisProgress:
+            return AnalysisProgress(
                 chunks_done=chunks_done,
                 total_chunks=total,
                 records_done=records_done,
                 analyzers=merged if merged is not None else dict(probes),
             )
-    if chunks_done == start_chunk:  # empty tail: still report completion
-        yield AnalysisProgress(
-            chunks_done=chunks_done,
-            total_chunks=total,
-            records_done=records_done,
-            analyzers=merged if merged is not None else dict(probes),
-        )
+
+        while chunks_done < total:
+            for offset in offsets[chunks_done : chunks_done + batch_chunks]:
+                chunks_done += 1
+                step = _chunk_partials(
+                    reader, offset, names, track_keys, cache, versions
+                )
+                if step is None:  # lenient: corrupt chunk dropped
+                    continue
+                _, count, partials = step
+                if merged is None:
+                    merged = {name: partials[name] for name in names}
+                else:
+                    for name in names:
+                        merged[name].merge(partials[name])
+                chunk_counter.inc()
+                record_counter.inc(count)
+                records_done += count
+            yield progress()
+        if chunks_done == start_chunk:  # empty tail: still report completion
+            yield progress()

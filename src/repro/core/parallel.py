@@ -13,16 +13,19 @@ Sharding strategies, picked automatically by :func:`analyze_trace`:
 
 * **file shards** — for v2 traces with a footer, workers receive
   ``(path, chunk offsets)`` and read their chunks straight from disk
-  (no pickling of trace data);
+  through one :class:`~repro.core.trace.RandomAccessChunkReader` on
+  their own thread (no pickling of trace data);
 * **chunk shards** — in-memory chunks are pickled to the pool (used for
   v1 files, record iterables and :class:`ColumnarTrace` inputs);
 * **in-process fallback** — ``workers=1`` consumes the chunk stream
-  lazily on the calling process, with no multiprocessing involved.
+  lazily on the calling thread, with no multiprocessing involved.
 
 All three produce results identical to the sequential record-at-a-time
 reference path (asserted in ``tests/test_parallel.py``).
 
-Worker-death resilience: a worker process that dies (OOM-killed,
+Worker-death resilience (:func:`_run_shards`, the one process pool
+behind both this module and the cache-aware pooled path in
+:mod:`repro.core.aggcache`): a worker process that dies (OOM-killed,
 segfaulted, machine hiccup) breaks the whole process pool, losing every
 in-flight shard.  The scheduler treats that as transient — the affected
 shards are requeued onto a fresh pool with exponential backoff (see
@@ -37,14 +40,12 @@ exception chained.
 from __future__ import annotations
 
 import os
-import queue
-import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Dict, Iterable, Optional, Sequence, TypeVar, Union
 
 from repro.core.blockstats import BlockStatsAnalyzer
 from repro.core.columnar import DEFAULT_CHUNK_SIZE, ColumnarTrace, TraceChunk, chunk_records
@@ -124,140 +125,6 @@ class WorkerFault:
         os._exit(self.exit_code)
 
 
-#: Default bound on the prefetch queue: deep enough to hide read latency,
-#: shallow enough that at most this many decoded chunks are held beyond
-#: the one being consumed.
-DEFAULT_PREFETCH_DEPTH = 8
-
-_PREFETCH_STOP = object()
-
-
-class ChunkPrefetcher:
-    """Bounded prefetch pipeline: a reader thread feeding the analyzer.
-
-    The phased shape (read a chunk, analyze it, read the next) leaves
-    the disk idle during compute and the CPU idle during reads.  This
-    iterator overlaps them: a daemon thread walks the footer offsets
-    through one :class:`~repro.core.trace.RandomAccessChunkReader`
-    (single open handle) and pushes decoded chunks into a bounded queue;
-    the consuming thread pops chunks in trace order while the next reads
-    are already in flight.  The bound caps memory: at most
-    ``depth`` chunks are buffered ahead of the consumer.
-
-    With ``raw=True`` the queue carries ``(offset, RawChunk | None)``
-    pairs instead of decoded chunks — the partial-aggregate cache uses
-    this to get each chunk's payload CRC without paying the decode for
-    chunks it already has partials for.
-
-    Metrics (when a ``registry`` is supplied): a
-    ``repro_prefetch_chunks_total`` counter and a
-    ``repro_prefetch_queue_depth`` gauge sampled after each enqueue.
-    Reader-thread errors re-raise in the consumer at the point of
-    iteration; :meth:`close` (also called when iteration ends) stops the
-    reader and joins it.
-    """
-
-    def __init__(
-        self,
-        path: Union[str, Path],
-        offsets: Sequence[int],
-        *,
-        lenient: bool = False,
-        depth: int = DEFAULT_PREFETCH_DEPTH,
-        raw: bool = False,
-        registry: MetricsRegistry = NULL_REGISTRY,
-    ) -> None:
-        if depth < 1:
-            raise ValueError("prefetch depth must be >= 1")
-        self._path = str(path)
-        self._offsets = tuple(offsets)
-        self._lenient = lenient
-        self._raw = raw
-        self._registry = registry
-        self._queue: queue.Queue = queue.Queue(maxsize=depth)
-        self._error: Optional[BaseException] = None
-        self._stopped = threading.Event()
-        self._thread = threading.Thread(
-            target=self._reader, name="repro-chunk-prefetch", daemon=True
-        )
-        self._thread.start()
-
-    def _put(self, item: object) -> bool:
-        """Enqueue, yielding periodically so close() can interrupt."""
-        while not self._stopped.is_set():
-            try:
-                self._queue.put(item, timeout=0.05)
-                return True
-            except queue.Full:
-                continue
-        return False
-
-    def _reader(self) -> None:
-        fetched = self._registry.counter(
-            "repro_prefetch_chunks_total",
-            help="Chunks read ahead by the prefetch pipeline",
-        )
-        depth_gauge = self._registry.gauge(
-            "repro_prefetch_queue_depth",
-            help="Prefetch queue occupancy sampled after each enqueue",
-        )
-        try:
-            with RandomAccessChunkReader(self._path, lenient=self._lenient) as reader:
-                for offset in self._offsets:
-                    if self._stopped.is_set():
-                        return
-                    if self._raw:
-                        item: object = (offset, reader.read_raw(offset))
-                    else:
-                        item = reader.read_chunk(offset)
-                        if item is None:  # lenient skip of a corrupt chunk
-                            continue
-                    if not self._put(item):
-                        return
-                    fetched.inc()
-                    depth_gauge.set(self._queue.qsize())
-        except BaseException as exc:  # surfaces in the consumer
-            self._error = exc
-        finally:
-            self._put(_PREFETCH_STOP)
-
-    def __iter__(self) -> Iterator:
-        try:
-            while True:
-                item = self._queue.get()
-                if item is _PREFETCH_STOP:
-                    if self._error is not None:
-                        raise self._error
-                    return
-                yield item
-        finally:
-            self.close()
-
-    def close(self) -> None:
-        """Stop the reader thread and release the file handle."""
-        self._stopped.set()
-        while True:  # unblock a reader stuck on a full queue
-            try:
-                self._queue.get_nowait()
-            except queue.Empty:
-                break
-        self._thread.join(timeout=5.0)
-
-
-def prefetch_raw_chunks(
-    path: Union[str, Path],
-    offsets: Sequence[int],
-    *,
-    lenient: bool = False,
-    depth: int = DEFAULT_PREFETCH_DEPTH,
-    registry: MetricsRegistry = NULL_REGISTRY,
-) -> ChunkPrefetcher:
-    """A :class:`ChunkPrefetcher` yielding ``(offset, RawChunk | None)``."""
-    return ChunkPrefetcher(
-        path, offsets, lenient=lenient, depth=depth, raw=True, registry=registry
-    )
-
-
 @dataclass(frozen=True)
 class _ShardTask:
     """Everything a worker needs to analyze one shard (picklable)."""
@@ -316,33 +183,27 @@ def analyze_chunks(
 
 
 def _analyze_shard(task: _ShardTask) -> tuple[Dict[str, object], RegistrySnapshot]:
-    """Pool worker: analyze one shard (inline chunks or file offsets).
+    """Pool job: analyze one shard (inline chunks or file offsets).
 
-    Fills a private registry (a worker process must not touch the
-    parent's) and ships its snapshot home alongside the analyzers; the
-    parent absorbs the snapshots in shard order.
+    File shards read their offsets through one
+    :class:`~repro.core.trace.RandomAccessChunkReader` on this thread;
+    a lenient read drops a corrupt chunk.  Fills a private registry (a
+    worker process must not touch the parent's) and ships its snapshot
+    home alongside the analyzers; the parent absorbs the snapshots in
+    shard order.
     """
-    if task.fault is not None:
-        task.fault.maybe_trip(task.index)
     local = MetricsRegistry()
-    chunks = task.chunks
-    prefetcher: Optional[ChunkPrefetcher] = None
-    if chunks is None:
-        # I/O overlaps compute inside the shard too: the prefetch thread
-        # reads the next chunks off one open handle while this process
-        # runs the analyzers over the current one.
-        prefetcher = ChunkPrefetcher(
-            task.path, task.offsets, lenient=task.lenient, registry=local
-        )
-        chunks = prefetcher
     start = time.perf_counter()
-    try:
-        built = analyze_chunks(
-            chunks, analyzers=task.names, track_keys=task.track_keys, registry=local
-        )
-    finally:
-        if prefetcher is not None:
-            prefetcher.close()
+    if task.chunks is not None:
+        built = analyze_chunks(task.chunks, task.names, task.track_keys, local)
+    else:
+        with RandomAccessChunkReader(task.path, lenient=task.lenient) as reader:
+            chunks = (
+                chunk
+                for chunk in map(reader.read_chunk, task.offsets)
+                if chunk is not None
+            )
+            built = analyze_chunks(chunks, task.names, task.track_keys, local)
     local.histogram(
         "repro_analysis_shard_seconds", help="Wall time per analysis shard"
     ).observe(time.perf_counter() - start)
@@ -381,12 +242,26 @@ def _merge_in_order(
     return merged
 
 
+_Result = TypeVar("_Result")
+
+
+def _in_worker(job: Callable[[_ShardTask], _Result], task: _ShardTask) -> _Result:
+    """Pool entry point: trip an injected fault, then run ``job``."""
+    if task.fault is not None:
+        task.fault.maybe_trip(task.index)
+    return job(task)
+
+
 def _run_shards(
+    job: Callable[[_ShardTask], _Result],
     tasks: Sequence[_ShardTask],
     retry: RetryPolicy,
     registry: MetricsRegistry = NULL_REGISTRY,
-) -> list[tuple[Dict[str, object], RegistrySnapshot]]:
-    """Run shard tasks on a process pool, surviving worker deaths.
+) -> list[_Result]:
+    """Run ``job`` over shard tasks on a process pool, surviving worker deaths.
+
+    ``job`` must be a module-level function (it is pickled by name);
+    results come back in task order.
 
     A dead worker breaks the entire pool, so every unfinished shard of
     that round — innocent or not — is requeued onto a fresh pool.  The
@@ -395,14 +270,16 @@ def _run_shards(
     :class:`WorkerFault` latch is inert by construction.  Deterministic
     worker exceptions are not retried at all.
     """
-    results: list[Optional[tuple]] = [None] * len(tasks)
+    results: list = [None] * len(tasks)
     pending = list(range(len(tasks)))
     attempts = [0] * len(tasks)
     round_index = 0
     while pending:
         broken: list[int] = []
         with ProcessPoolExecutor(max_workers=len(pending)) as pool:
-            futures = [(index, pool.submit(_analyze_shard, tasks[index])) for index in pending]
+            futures = [
+                (index, pool.submit(_in_worker, job, tasks[index])) for index in pending
+            ]
             for index, future in futures:
                 try:
                     results[index] = future.result()
@@ -439,12 +316,12 @@ def _run_shards(
                     "repro_analysis_serial_fallbacks_total",
                     help="Shards analyzed serially after exhausting retries",
                 ).inc()
-                results[index] = _analyze_shard(tasks[index])
+                results[index] = job(tasks[index])
         pending = retriable
         if pending:
             time.sleep(retry.backoff_base_s * retry.backoff_factor**round_index)
             round_index += 1
-    return [result for result in results if result is not None]
+    return results
 
 
 def analyze_trace(
@@ -486,98 +363,52 @@ def analyze_trace(
     if isinstance(source, (str, Path)):
         path = str(source)
 
+    if path is not None:
+        chunks = open_trace_chunks(path, chunk_size=chunk_size, lenient=lenient)
+    elif isinstance(source, ColumnarTrace):
+        chunks = source.chunks
+    else:
+        chunks = chunk_records(source, chunk_size)
     if workers == 1:
-        if path is not None:
-            try:
-                footer = read_trace_footer(path)
-            except (TraceFormatError, OSError):
-                footer = None
-            if footer is not None:
-                # Footer-indexed file: overlap chunk reads with compute.
-                prefetcher = ChunkPrefetcher(
-                    path,
-                    [offset for offset, _ in footer.chunks],
-                    lenient=lenient,
-                    registry=registry,
-                )
-                try:
-                    return analyze_chunks(
-                        prefetcher,
-                        analyzers=analyzers,
-                        track_keys=track_keys,
-                        registry=registry,
-                    )
-                finally:
-                    prefetcher.close()
-            return analyze_chunks(
-                open_trace_chunks(path, chunk_size=chunk_size, lenient=lenient),
-                analyzers=analyzers,
-                track_keys=track_keys,
-                registry=registry,
-            )
-        chunks = (
-            source.chunks
-            if isinstance(source, ColumnarTrace)
-            else chunk_records(source, chunk_size)
-        )
         return analyze_chunks(
             chunks, analyzers=analyzers, track_keys=track_keys, registry=registry
         )
 
     names = tuple(analyzers)
     _make_analyzers(names, track_keys)  # validate names before forking
-
-    tasks = None
+    footer = None
     if path is not None:
         try:
             footer = read_trace_footer(path)
         except TraceFormatError:
-            footer = None
-        if footer is not None:
-            offsets = [offset for offset, _ in footer.chunks]
-            tasks = [
-                _ShardTask(
-                    index=index,
-                    names=names,
-                    track_keys=track_keys,
-                    chunks=None,
-                    path=path,
-                    offsets=tuple(shard),
-                    lenient=lenient,
-                    fault=fault,
-                )
-                for index, shard in enumerate(_split_shards(offsets, workers))
-            ]
-        else:
-            chunks = list(open_trace_chunks(path, chunk_size=chunk_size, lenient=lenient))
-    elif isinstance(source, ColumnarTrace):
-        chunks = source.chunks
+            pass
+    if footer is not None:  # file shards: workers read their own chunks
+        offsets = [offset for offset, _ in footer.chunks]
+        shards = [(None, tuple(shard)) for shard in _split_shards(offsets, workers)]
     else:
-        chunks = list(chunk_records(source, chunk_size))
-
-    if tasks is None:
-        tasks = [
-            _ShardTask(
-                index=index,
-                names=names,
-                track_keys=track_keys,
-                chunks=tuple(shard),
-                path=None,
-                offsets=None,
-                lenient=lenient,
-                fault=fault,
-            )
-            for index, shard in enumerate(_split_shards(chunks, workers))
-        ]
-
+        chunks = list(chunks)
+        shards = [(tuple(shard), None) for shard in _split_shards(chunks, workers)]
+    tasks = [
+        _ShardTask(
+            index=index,
+            names=names,
+            track_keys=track_keys,
+            chunks=shard_chunks,
+            path=path,
+            offsets=shard_offsets,
+            lenient=lenient,
+            fault=fault,
+        )
+        for index, (shard_chunks, shard_offsets) in enumerate(shards)
+    ]
     if not tasks:
         return _make_analyzers(names, track_keys)
     if len(tasks) == 1 and not fault:
         built, snapshot = _analyze_shard(tasks[0])
         registry.absorb(snapshot)
         return built
-
-    return _merge_in_order(_run_shards(tasks, retry, registry), registry)
+    results = _run_shards(_analyze_shard, tasks, retry, registry)
+    return _merge_in_order(results, registry)
 
 
 def default_workers() -> int:

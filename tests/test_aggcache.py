@@ -30,9 +30,9 @@ from repro.core.aggcache import (
     default_cache_dir,
 )
 from repro.core.opdist import OpDistAnalyzer
-from repro.core.parallel import analyze_trace
+from repro.core.parallel import RetryPolicy, WorkerFault, analyze_trace
 from repro.core.trace import read_trace_footer, write_trace, write_trace_v2
-from repro.errors import TraceFormatError
+from repro.errors import AnalysisError, TraceFormatError
 from repro.obs.registry import MetricsRegistry
 
 ANALYZERS = ("opdist", "blockstats", "iostats")
@@ -452,6 +452,78 @@ class TestFrontDoor:
         for name in ANALYZERS:
             clone = pickle.loads(pickle.dumps(baseline[name]))
             _EQUAL[name](clone, baseline[name])
+
+
+class TestCachedWorkerDeath:
+    """A cold cached run's miss jobs share ``analyze_trace``'s pool, so
+    the ``retry``/``fault`` arguments of the front door reach it: a dead
+    worker is requeued or falls back to serial, and counted, exactly as
+    on the uncached route."""
+
+    FAST_RETRY = RetryPolicy(max_retries=2, backoff_base_s=0.01)
+    PROGRESS = ("repro_analysis_chunks_total", "repro_analysis_records_total")
+
+    def _serial_and_pooled(self, tmp_path, **kwargs):
+        path = tmp_path / "t.bin"
+        _write_sample_trace(path)
+        serial_cache, serial_registry = _fresh_cache(tmp_path, "serial")
+        serial = analyze_trace_maybe_cached(
+            str(path), cache=serial_cache, analyzers=ANALYZERS, registry=serial_registry
+        )
+        cache, registry = _fresh_cache(tmp_path, "pooled")
+        pooled = analyze_trace_maybe_cached(
+            str(path),
+            cache=cache,
+            workers=4,
+            analyzers=ANALYZERS,
+            registry=registry,
+            **kwargs,
+        )
+        _assert_results_equal(pooled, serial)
+        for name in self.PROGRESS:
+            assert _counter(registry, name) == _counter(serial_registry, name)
+        return path, cache, registry
+
+    def test_transient_kill_requeued_and_every_miss_published(self, tmp_path):
+        trip = tmp_path / "trip"
+        fault = WorkerFault(shard_index=1, parent_pid=os.getpid(), trip_path=str(trip))
+        path, cache, registry = self._serial_and_pooled(
+            tmp_path, fault=fault, retry=self.FAST_RETRY
+        )
+        assert trip.exists()  # the fault really fired
+        assert _counter(registry, "repro_analysis_worker_deaths_total") == 1
+        assert _counter(registry, "repro_analysis_requeues_total") >= 1
+        assert _counter(registry, "repro_analysis_serial_fallbacks_total") == 0
+        expected = len(read_trace_footer(path).chunks) * len(ANALYZERS)
+        assert _counter(registry, "repro_aggcache_stores_total") == expected
+        assert cache.stats()[0] == expected
+        analyze_trace_cached(path, cache=cache, analyzers=ANALYZERS, registry=registry)
+        assert _counter(registry, "repro_aggcache_hits_total") == expected
+
+    def test_poisoned_shard_falls_back_to_serial(self, tmp_path):
+        fault = WorkerFault(shard_index=2, parent_pid=os.getpid())
+        _, _, registry = self._serial_and_pooled(
+            tmp_path, fault=fault, retry=RetryPolicy(max_retries=1, backoff_base_s=0.01)
+        )
+        assert _counter(registry, "repro_analysis_worker_deaths_total") >= 1
+        assert _counter(registry, "repro_analysis_serial_fallbacks_total") >= 1
+
+    def test_fallback_disabled_raises(self, tmp_path):
+        path = tmp_path / "t.bin"
+        _write_sample_trace(path)
+        cache, registry = _fresh_cache(tmp_path)
+        with pytest.raises(AnalysisError, match="kept killing"):
+            analyze_trace_maybe_cached(
+                str(path),
+                cache=cache,
+                workers=4,
+                analyzers=ANALYZERS,
+                registry=registry,
+                fault=WorkerFault(shard_index=0, parent_pid=os.getpid()),
+                retry=RetryPolicy(
+                    max_retries=1, backoff_base_s=0.01, serial_fallback=False
+                ),
+            )
 
 
 class TestCacheCLI:
